@@ -1,32 +1,7 @@
-"""Streaming HRI pipeline with online time-series causal discovery."""
+"""Streaming HRI pipeline with online time-series causal discovery.
 
-from .bus import Envelope, MessageBus, Subscription, Topic
-from .collector import Collector, CollectorConfig, RawSample
-from .config import ScenarioConfig, default_config, load_config
-from .discovery import (CausalModel, DiscoveryParams, LaggedVariable, PoolWatcher,
-                        export_model, fpcmci, load_model_json, pcmci)
-from .postprocess import RiskParams, collision_risk, goal_distance, human_speed, postprocess_batch
-from .scm_bench import Edge, GraphScore, SCMSpec, generate, score
-from .sim import RobotPath, SFMParams, Simulator, sample_goal
-from .state import AgentState, Pose2D, StateMerger, Velocity2D
-from .stats import (CITestResult, KernelRegParams, TEParams, distance_correlation,
-                    dcor_perm_test, kernel_ridge_residuals, kridge_dcor_test,
-                    parcorr_test, pearson, residualize_linear, te_significance,
-                    transfer_entropy)
-from .timeseries import TimeSeriesBatch, read_csv, write_csv
+The package exports only its version; import from the submodules
+(causalpipe.discovery, causalpipe.pipeline, ...).
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentState", "CITestResult", "CausalModel", "Collector", "CollectorConfig",
-    "DiscoveryParams", "Edge", "Envelope", "GraphScore", "KernelRegParams",
-    "LaggedVariable", "MessageBus", "PoolWatcher", "Pose2D", "RawSample",
-    "RiskParams", "RobotPath", "SCMSpec", "SFMParams", "ScenarioConfig",
-    "Simulator", "StateMerger", "Subscription", "TEParams", "TimeSeriesBatch",
-    "Topic", "Velocity2D", "collision_risk", "dcor_perm_test", "default_config",
-    "distance_correlation", "export_model", "fpcmci", "generate", "goal_distance",
-    "human_speed", "kernel_ridge_residuals", "kridge_dcor_test", "load_config",
-    "load_model_json", "parcorr_test", "pcmci", "pearson", "postprocess_batch",
-    "read_csv", "residualize_linear", "sample_goal", "score", "te_significance",
-    "transfer_entropy", "write_csv",
-]

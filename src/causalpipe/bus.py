@@ -88,7 +88,7 @@ class Topic:
 
 
 class MessageBus:
-    """Registry of topics plus publish/subscribe/drain operations.
+    """Registry of topics plus publish/subscribe operations.
 
     The handle is shareable across threads; publication is serialized per
     topic, with no ordering guarantee between distinct topics.
@@ -112,18 +112,13 @@ class MessageBus:
         except KeyError:
             raise UnknownTopicError(f"no topic named {name!r}") from None
 
-    def _resolve(self, topic: Topic | str) -> Topic:
-        if isinstance(topic, Topic):
-            return topic
-        return self.topic(topic)
-
-    def publish(self, topic: Topic | str, payload: Any, time: float) -> None:
+    def publish(self, topic: str, payload: Any, time: float) -> None:
         """Enqueue `payload` to every live subscription of `topic`.
 
         Publish times must be non-decreasing per topic (single simulated
         clock); a regression indicates a wiring bug and raises.
         """
-        t = self._resolve(topic)
+        t = self.topic(topic)
         if not isinstance(payload, t.kind):
             raise MessageKindError(
                 f"topic {t.name!r} carries {t.kind.__name__}, got {type(payload).__name__}"
@@ -139,13 +134,10 @@ class MessageBus:
             for sub in t._subscriptions:
                 sub._push(envelope)
 
-    def subscribe(self, topic: Topic | str, capacity: int = DEFAULT_CAPACITY) -> Subscription:
+    def subscribe(self, topic: str, capacity: int = DEFAULT_CAPACITY) -> Subscription:
         """Attach a new bounded queue to `topic`; only future traffic is seen."""
-        t = self._resolve(topic)
+        t = self.topic(topic)
         sub = Subscription(t, capacity)
         with t._lock:
             t._subscriptions.append(sub)
         return sub
-
-    def drain(self, sub: Subscription) -> list[Envelope]:
-        return sub.drain()

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import scm_bench
 from .config import (ConfigError, ScenarioConfig, default_config, load_config,
                      validate)
-from .discovery import DiscoveryParams, fpcmci, pcmci
+from .discovery import DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
 from .stats import TEParams
 from .timeseries import CsvFormatError
@@ -218,11 +218,7 @@ def run_bench(specs, methods, seeds: int, base_seed: int = 0,
                     break
                 params = _bench_params(method, seed, discovery_overrides or {})
                 t_start = time_mod.perf_counter()
-                if params.method == "fpcmci":
-                    model = fpcmci(batch, params, te_params,
-                                   batch_id=f"{spec.name}-{seed}")
-                else:
-                    model = pcmci(batch, params, batch_id=f"{spec.name}-{seed}")
+                model = discover(batch, params, te_params, batch_id=f"{spec.name}-{seed}")
                 walls.append(time_mod.perf_counter() - t_start)
                 result = scm_bench.score(model, truth)
                 precisions.append(result.precision)

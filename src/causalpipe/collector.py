@@ -84,12 +84,11 @@ class Collector:
 
     def __init__(self, bus: MessageBus, config: CollectorConfig,
                  postprocessor: Postprocessor,
-                 human_topic: str = HUMAN_TOPIC, robot_topic: str = ROBOT_TOPIC,
                  subscription_capacity: int = 64):
         self.config = config
         self.postprocessor = postprocessor
-        self._human_sub: Subscription = bus.subscribe(human_topic, subscription_capacity)
-        self._robot_sub: Subscription = bus.subscribe(robot_topic, subscription_capacity)
+        self._human_sub: Subscription = bus.subscribe(HUMAN_TOPIC, subscription_capacity)
+        self._robot_sub: Subscription = bus.subscribe(ROBOT_TOPIC, subscription_capacity)
         self._held_human: AgentState | None = None
         self._held_robot: AgentState | None = None
         self._t0: float | None = None

@@ -158,22 +158,15 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _make_ci_test(params: DiscoveryParams) -> Callable:
-    if params.ci_test == "parcorr":
-        def test(x, y, Z, seed):
-            return parcorr_test(x, y, Z, alpha=params.alpha)
-    else:
-        def test(x, y, Z, seed):
-            return kridge_dcor_test(x, y, Z, params.kridge, seed=seed, alpha=params.alpha)
-    return test
-
-
-def _safe_ci_test(test: Callable, x, y, Z, seed, n: int) -> CITestResult:
+def _ci_test(params: DiscoveryParams, x, y, Z, seed: int) -> CITestResult:
+    """Run the configured CI test; a test that raises counts as independent."""
     try:
-        return test(x, y, Z, seed)
+        if params.ci_test == "parcorr":
+            return parcorr_test(x, y, Z, alpha=params.alpha)
+        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed, alpha=params.alpha)
     except Exception:
         log.exception("CI test failed; treating as independent")
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=max(n, 3),
+        return CITestResult(statistic=0.0, p_value=1.0, n_effective=max(len(y), 3),
                             dependent=False)
 
 
@@ -193,13 +186,19 @@ def _lagged_column(X: np.ndarray, var: int, lag: int, window_start: int) -> np.n
     return X[window_start - lag:n - lag, var]
 
 
-def _min_rows(params: DiscoveryParams) -> int:
-    return 10 * (params.max_conditions + 2)
+def _check_usable_rows(X: np.ndarray, window_start: int, params: DiscoveryParams) -> None:
+    """Raise BatchTooShortError unless enough rows remain after lag alignment."""
+    usable = X.shape[0] - window_start
+    need = 10 * (params.max_conditions + 2)
+    if usable < need:
+        raise BatchTooShortError(
+            f"{usable} usable rows after lag alignment; need >= {need}"
+        )
 
 
 def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
                             params: DiscoveryParams,
-                            candidates: list[LaggedVariable] | None = None,
+                            allowed_pairs: set[tuple[int, int]] | None = None,
                             batch_id: str = "batch") -> list[tuple[LaggedVariable, float]]:
     """Iterative parent pre-selection for one target variable.
 
@@ -209,25 +208,21 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
     |statistic| from the previous pass), and is removed when its p-value
     exceeds pc_alpha. Survivors are re-sorted by |statistic| after each pass.
     Returns the surviving parents with their final statistics, strongest
-    first.
+    first. When `allowed_pairs` is given, cross candidates (i, target)
+    outside it are never considered.
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
     if not 0 <= target < n_vars:
         raise ValueError(f"target {target} outside [0,{n_vars})")
     window_start = params.tau_max
-    usable = X.shape[0] - window_start
-    if usable < _min_rows(params):
-        raise BatchTooShortError(
-            f"{usable} usable rows after lag alignment; need >= {_min_rows(params)}"
-        )
-    if candidates is None:
-        candidates = lagged_candidates(n_vars, params)[target]
-    survivors = list(candidates)
+    _check_usable_rows(X, window_start, params)
+    survivors = [c for c in lagged_candidates(n_vars, params)[target]
+                 if allowed_pairs is None or c.var_index == target
+                 or (c.var_index, target) in allowed_pairs]
     y = X[window_start:, target]
     columns = {c: _lagged_column(X, c.var_index, c.lag, window_start) for c in survivors}
     stats: dict[LaggedVariable, float] = {}
-    ci = _make_ci_test(params)
 
     for p in range(params.max_conditions + 1):
         if len(survivors) <= p:
@@ -240,7 +235,7 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
             Z = [columns[o] for o in conds]
             seed = _derived_seed(params.seed, batch_id, "pc1", target,
                                  c.var_index, c.lag, p)
-            result = _safe_ci_test(ci, columns[c], y, Z, seed, len(y))
+            result = _ci_test(params, columns[c], y, Z, seed)
             new_stats[c] = result.statistic
             if result.p_value > params.pc_alpha:
                 removed.add(c)
@@ -267,15 +262,10 @@ def mci_tests(batch: TimeSeriesBatch,
     names, X = batch.analysis_view()
     n_vars = len(names)
     window_start = 2 * params.tau_max
-    usable = X.shape[0] - window_start
-    if usable < _min_rows(params):
-        raise BatchTooShortError(
-            f"{usable} usable rows after lag alignment; need >= {_min_rows(params)}"
-        )
+    _check_usable_rows(X, window_start, params)
     n_lags = params.n_lags
     val = np.zeros((n_lags, n_vars, n_vars))
     pval = np.ones((n_lags, n_vars, n_vars))
-    ci = _make_ci_test(params)
 
     def top_parents(j: int) -> list[LaggedVariable]:
         ranked = sorted(parents_by_target.get(j, ()), key=lambda ps: abs(ps[1]),
@@ -301,7 +291,7 @@ def mci_tests(batch: TimeSeriesBatch,
                 Z = [_lagged_column(X, c.var_index, c.lag, window_start) for c in conds]
                 x = _lagged_column(X, i, tau, window_start)
                 seed = _derived_seed(params.seed, batch_id, "mci", i, j, tau)
-                result = _safe_ci_test(ci, x, y, Z, seed, len(y))
+                result = _ci_test(params, x, y, Z, seed)
                 l = tau - params.tau_min
                 val[l, i, j] = result.statistic
                 pval[l, i, j] = result.p_value
@@ -311,7 +301,12 @@ def mci_tests(batch: TimeSeriesBatch,
 def _assemble_model(batch: TimeSeriesBatch, params: DiscoveryParams,
                     val: np.ndarray, pval: np.ndarray, batch_id: str,
                     te_filter: dict | None) -> CausalModel:
+    """Threshold at alpha, mask absent links, and label the method: a model
+    built behind a transfer-entropy filter is F-PCMCI, any other PCMCI."""
     names, _ = batch.analysis_view()
+    method = "pcmci" if te_filter is None else "fpcmci"
+    if params.method != method:
+        params = dataclasses.replace(params, method=method)
     structure = (pval <= params.alpha).astype(np.uint8)
     absent = structure == 0
     val = val.copy()
@@ -325,24 +320,23 @@ def _assemble_model(batch: TimeSeriesBatch, params: DiscoveryParams,
 
 
 def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
-          batch_id: str = "batch",
-          candidates: dict[int, list[LaggedVariable]] | None = None,
-          allowed_pairs: set[tuple[int, int]] | None = None) -> CausalModel:
-    """Run parent pre-selection then MCI; threshold at alpha and mask."""
+          batch_id: str = "batch", te_filter: dict | None = None) -> CausalModel:
+    """Run parent pre-selection then MCI; threshold at alpha and mask.
+
+    With a `te_filter` (as built by fpcmci), only the cross pairs it kept
+    enter either phase, and the model is recorded as F-PCMCI.
+    """
     names, _ = batch.analysis_view()
     n_vars = len(names)
     if n_vars < 1:
         raise DiscoveryError("batch has no analysis variables")
-    parents = {}
-    for j in range(n_vars):
-        cand_j = None if candidates is None else candidates[j]
-        parents[j] = pc1_condition_selection(batch, j, params, candidates=cand_j,
-                                             batch_id=batch_id)
+    allowed_pairs = None if te_filter is None else set(te_filter["kept"])
+    parents = {j: pc1_condition_selection(batch, j, params, allowed_pairs=allowed_pairs,
+                                          batch_id=batch_id)
+               for j in range(n_vars)}
     val, pval = mci_tests(batch, parents, params, allowed_pairs=allowed_pairs,
                           batch_id=batch_id)
-    if params.method != "pcmci":
-        params = dataclasses.replace(params, method="pcmci")
-    return _assemble_model(batch, params, val, pval, batch_id, te_filter=None)
+    return _assemble_model(batch, params, val, pval, batch_id, te_filter)
 
 
 def fpcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
@@ -378,24 +372,13 @@ def fpcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     if not kept and n_vars > 1:
         log.warning("transfer-entropy filter removed every cross pair; "
                     "proceeding with self-lags only")
-    all_candidates = lagged_candidates(n_vars, params)
-    candidates = {
-        j: [c for c in cand if c.var_index == j or (c.var_index, j) in kept]
-        for j, cand in all_candidates.items()
-    }
     te_filter = {
         "kept": sorted(kept),
         "rejected": sorted(rejected),
         "directed_significant": sorted(p for p, s in directed.items() if s),
         "te_params": dataclasses.asdict(te_params),
     }
-    if params.method != "fpcmci":
-        params = dataclasses.replace(params, method="fpcmci")
-    model = pcmci(batch, params, batch_id=batch_id, candidates=candidates,
-                  allowed_pairs=kept)
-    model.te_filter = te_filter
-    model.params_used = params
-    return model
+    return pcmci(batch, params, batch_id=batch_id, te_filter=te_filter)
 
 
 def discover(batch: TimeSeriesBatch, params: DiscoveryParams,

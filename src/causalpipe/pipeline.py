@@ -5,6 +5,12 @@ pool watcher runs in its own thread so causal analysis of one batch never
 blocks collection of the next. Every completed batch yields a JSON and a DOT
 model file in the output directory, and the run ends with a manifest
 (config echo, seed, per-batch timings, edge lists, artifact checksums).
+
+A batch's `discovery_seconds` runs from the moment its CSV landed in the
+pool to the moment its model pair was written, so it includes the time the
+file waited for the watcher. Landing times are taken on the simulation
+loop: after each collector tick, every file newly appended to
+`collector.files_written` is stamped with the current time.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from pathlib import Path
 from .bus import MessageBus
 from .collector import Collector
 from .config import ConfigError, ScenarioConfig, config_to_dict, validate
-from .discovery import MODEL_TOPIC, CausalModel, PoolWatcher, export_model
+from .discovery import (MODEL_TOPIC, CausalModel, PoolWatcher, batch_id_for, discover,
+                        export_model)
 from .postprocess import resolve_postprocessor
 from .sim import SIM_DT, Simulator
 from .state import AgentState, HUMAN_TOPIC, ROBOT_TOPIC
+from .timeseries import read_csv
 
 log = logging.getLogger(__name__)
 
@@ -41,13 +49,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pipeline(config: ScenarioConfig, process_delay: float = 0.0,
-                 drain_pool: bool = True) -> PipelineResult:
+def _export_pair(model: CausalModel, out_dir: Path, stem: str) -> tuple[Path, Path]:
+    """Write `<stem>.json` and `<stem>.dot` into `out_dir`."""
+    json_path = out_dir / f"{stem}.json"
+    dot_path = out_dir / f"{stem}.dot"
+    export_model(model, "json", json_path)
+    export_model(model, "dot", dot_path)
+    return json_path, dot_path
+
+
+def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineResult:
     """Run the full scenario described by `config`.
 
-    `process_delay` artificially slows each discovery run (wall seconds);
-    used to exercise the asynchrony guarantees. With drain_pool=False the
-    backlog left at shutdown is abandoned (quiet abort).
+    With drain_pool=False the backlog left at shutdown is abandoned (quiet
+    abort).
     """
     problems = validate(config)
     if problems:
@@ -69,22 +84,19 @@ def run_pipeline(config: ScenarioConfig, process_delay: float = 0.0,
 
     result = PipelineResult(output_dir=out_dir, manifest_path=out_dir / "manifest.json")
     batch_rows: list[dict] = []
-    timings: dict[str, float] = {}
+    landed: dict[str, float] = {}  # CSV name -> perf_counter when it landed
 
     def on_model(model: CausalModel, csv_path: Path) -> None:
         stem = f"model_{int(model.batch_id):05d}" if model.batch_id.isdigit() \
             else f"model_{model.batch_id}"
-        json_path = out_dir / f"{stem}.json"
-        dot_path = out_dir / f"{stem}.dot"
-        export_model(model, "json", json_path)
-        export_model(model, "dot", dot_path)
+        json_path, dot_path = _export_pair(model, out_dir, stem)
+        written = time_mod.perf_counter()
         result.models.append(model)
         result.model_files.append((json_path, dot_path))
         batch_rows.append({
             "batch_id": model.batch_id,
             "csv": csv_path.name,
-            "discovery_seconds": round(time_mod.perf_counter() - timings.pop(csv_path.name,
-                                                                             time_mod.perf_counter()), 6),
+            "discovery_seconds": round(written - landed.get(csv_path.name, written), 6),
             "model_json": json_path.name,
             "model_dot": dot_path.name,
             "sha256_json": _sha256(json_path),
@@ -94,29 +106,22 @@ def run_pipeline(config: ScenarioConfig, process_delay: float = 0.0,
         log.info("batch %s -> %d edges", model.batch_id, len(model.named_edges()))
 
     watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus,
-                          on_model=on_model, poll_interval=0.02,
-                          process_delay=process_delay)
+                          on_model=on_model, poll_interval=0.02)
 
-    # The watcher thread learns about a file only by polling; record the time
-    # each file appeared so per-batch timings include queue wait.
-    original_finalize = collector._finalize
-
-    def finalize_and_mark() -> None:
-        original_finalize()
-        if collector.files_written:
-            timings.setdefault(collector.files_written[-1].name, time_mod.perf_counter())
-
-    collector._finalize = finalize_and_mark  # type: ignore[method-assign]
+    def tick(now: float) -> None:
+        collector.tick(now)
+        for path in collector.files_written[len(landed):]:
+            landed[path.name] = time_mod.perf_counter()
 
     started = time_mod.perf_counter()
     watcher.start()
     try:
         sim.publish_initial()
-        collector.tick(0.0)
+        tick(0.0)
         steps = round(config.duration / SIM_DT)
         for k in range(1, steps + 1):
             sim.step(SIM_DT)
-            collector.tick(k * SIM_DT)
+            tick(k * SIM_DT)
     finally:
         watcher.stop()
         if drain_pool:
@@ -144,17 +149,10 @@ def run_pipeline(config: ScenarioConfig, process_delay: float = 0.0,
 def discover_csv(csv_path: str | Path, params, te_params, output_dir: str | Path,
                  batch_id: str | None = None) -> tuple[Path, Path]:
     """Offline discovery on an existing CSV; the source file is kept."""
-    from .discovery import batch_id_for, discover
-    from .timeseries import read_csv
-
     csv_path = Path(csv_path)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     batch = read_csv(csv_path)
     model = discover(batch, params, te_params,
                      batch_id=batch_id if batch_id is not None else batch_id_for(csv_path))
-    json_path = out_dir / f"{csv_path.stem}_model.json"
-    dot_path = out_dir / f"{csv_path.stem}_model.dot"
-    export_model(model, "json", json_path)
-    export_model(model, "dot", dot_path)
-    return json_path, dot_path
+    return _export_pair(model, out_dir, f"{csv_path.stem}_model")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -46,12 +46,6 @@ class RiskParams:
         for name in ("margin", "decay_length", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-
-class HRIRow(NamedTuple):
-    h_v: float
-    h_dg: float
-    h_risk: float
 
 
 def _check_finite(state: AgentState, what: str) -> None:
@@ -100,16 +94,14 @@ def collision_risk(h: AgentState, r: AgentState, p: RiskParams = RiskParams()) -
 
 def postprocess_batch(samples: Iterable[RawSample],
                       risk: RiskParams = RiskParams()) -> TimeSeriesBatch:
-    """One HRIRow per sample, columns (time, h_v, h_dg, h_risk)."""
+    """One row per sample, columns (time, h_v, h_dg, h_risk)."""
     samples = list(samples)
     if not samples:
         raise PostprocessError("empty sample list")
     rows = np.empty((len(samples), 4), dtype=np.float64)
     for i, s in enumerate(samples):
-        row = HRIRow(h_v=human_speed(s.human),
-                     h_dg=goal_distance(s.human),
-                     h_risk=collision_risk(s.human, s.robot, risk))
-        rows[i] = (s.t, row.h_v, row.h_dg, row.h_risk)
+        rows[i] = (s.t, human_speed(s.human), goal_distance(s.human),
+                   collision_risk(s.human, s.robot, risk))
     t0 = samples[0].t
     dt = samples[1].t - samples[0].t if len(samples) > 1 else 1.0
     return TimeSeriesBatch(variable_names=list(HRI_COLUMNS), t0=t0, dt=dt, rows=rows)

@@ -128,15 +128,3 @@ class StateMerger:
         if self._bus is not None:
             self._bus.publish(self.topic, state, time=stamp)
         return state
-
-
-def merge_robot_state(merger: StateMerger, pose: Pose2D, velocity: Velocity2D,
-                      goal: tuple[float, float], stamp: float) -> AgentState:
-    """Merge one robot input set; `merger` should be a for_robot() instance."""
-    return merger.merge(pose, velocity, goal, stamp)
-
-
-def merge_human_state(merger: StateMerger, pose: Pose2D, velocity: Velocity2D,
-                      goal: tuple[float, float], stamp: float) -> AgentState:
-    """Merge one human input set; `merger` should be a for_human() instance."""
-    return merger.merge(pose, velocity, goal, stamp)

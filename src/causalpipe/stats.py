@@ -162,11 +162,11 @@ def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
     return CITestResult(statistic=r, p_value=p, n_effective=n_eff, dependent=p <= alpha)
 
 
-def median_bandwidth(Zm: np.ndarray) -> float:
-    """Median of nonzero pairwise Euclidean distances; 1.0 on degenerate input."""
-    diff = Zm[:, None, :] - Zm[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    upper = dist[np.triu_indices(len(Zm), k=1)]
+def median_bandwidth(sq: np.ndarray) -> float:
+    """Median of nonzero pairwise Euclidean distances, given the (n, n) matrix
+    of squared distances; 1.0 on degenerate input."""
+    dist = np.sqrt(sq)
+    upper = dist[np.triu_indices(len(sq), k=1)]
     positive = upper[upper > 0]
     if positive.size == 0:
         return 1.0
@@ -203,8 +203,8 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
         return np.zeros(n)
     ys = (y - y_mean) / y_sd
 
-    bandwidth = median_bandwidth(Zs)
     sq = ((Zs[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
+    bandwidth = median_bandwidth(sq)
     K = np.exp(-sq / (2.0 * bandwidth * bandwidth))
 
     ridge = params.ridge

@@ -30,6 +30,8 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
     row = manifest["batches"][0]
     assert row["model_json"] == "model_00000.json"
     assert len(row["sha256_json"]) == 64
+    for batch in manifest["batches"]:  # CSV landing -> model pair written
+        assert 0 <= batch["discovery_seconds"] <= manifest["wall_seconds"]
     # pool drained on shutdown
     assert list((out / "pool").glob("*.csv")) == []
 

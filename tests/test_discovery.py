@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from causalpipe import discovery
 from causalpipe.bus import MessageBus
 from causalpipe.discovery import (MODEL_TOPIC, BatchTooShortError, CausalModel,
                                   DiscoveryParams, LaggedVariable, PoolWatcher,
@@ -205,6 +208,36 @@ def test_pcmci_drops_time_column():
     assert model.variable_names == ["a", "b"]
 
 
+def test_pcmci_failed_ci_test_is_logged_and_link_absent(monkeypatch, caplog):
+    batch, _ = scm_batch([Edge(0, 1, 1, 0.8)], n_vars=2, seed=3)
+    control = pcmci(batch, PARCORR, batch_id="fail")
+    assert control.causal_structure[0, 0, 1] == 1
+
+    _, X = batch.analysis_view()
+    original = discovery.parcorr_test
+    raised = []
+
+    def failing(x, y, Z=(), alpha=0.05):
+        # the MCI test of X0 at lag 1 against X1 (window starts at row 2)
+        if not raised and np.array_equal(x, X[1:-1, 0]) and np.array_equal(y, X[2:, 1]):
+            raised.append(True)
+            raise FloatingPointError("injected")
+        return original(x, y, Z, alpha=alpha)
+
+    monkeypatch.setattr(discovery, "parcorr_test", failing)
+    with caplog.at_level(logging.ERROR, logger="causalpipe.discovery"):
+        model = pcmci(batch, PARCORR, batch_id="fail")
+    assert raised
+    assert [r.name for r in caplog.records
+            if "CI test failed" in r.getMessage()] == ["causalpipe.discovery"]
+    assert model.causal_structure[0, 0, 1] == 0
+    assert model.val_matrix[0, 0, 1] == 0.0
+    assert model.pval_matrix[0, 0, 1] == 0.0
+    others = np.ones_like(control.causal_structure, dtype=bool)
+    others[0, 0, 1] = False
+    assert np.array_equal(model.pval_matrix[others], control.pval_matrix[others])
+
+
 # --- fpcmci -------------------------------------------------------------------
 
 def test_fpcmci_filters_noise_variable():
@@ -271,6 +304,24 @@ def test_fpcmci_records_filter_in_params():
     assert model.te_filter is not None
     assert set(model.te_filter) == {"kept", "rejected", "directed_significant",
                                     "te_params"}
+
+
+def test_fpcmci_keeping_every_pair_matches_pcmci(monkeypatch):
+    batch, _ = scm_batch([Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6)], n_vars=3, seed=11)
+    plain = pcmci(batch, PARCORR, batch_id="same")
+    monkeypatch.setattr(discovery, "te_significance",
+                        lambda src, dst, params, seed: (1.0, 0.0, True))
+    filtered = fpcmci(batch, PARCORR, TEParams(), batch_id="same")
+    assert filtered.te_filter["kept"] == [(i, j) for i in range(3) for j in range(3)
+                                          if i != j]
+    assert filtered.te_filter["rejected"] == []
+    assert np.array_equal(filtered.val_matrix, plain.val_matrix)
+    assert np.array_equal(filtered.pval_matrix, plain.pval_matrix)
+    assert np.array_equal(filtered.causal_structure, plain.causal_structure)
+    assert filtered.batch_id == plain.batch_id
+    assert plain.params_used.method == "pcmci"
+    assert plain.te_filter is None
+    assert filtered.params_used == dataclasses.replace(plain.params_used, method="fpcmci")
 
 
 # --- export -------------------------------------------------------------------
