@@ -278,3 +278,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover - console script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -12,6 +12,16 @@ the Gaussian-process posterior mean under fixed hyperparameters, which keeps
 the nonlinear-residual + distance-correlation structure at a fraction of the
 cost of full GP hyperparameter optimization.
 
+The permutation p-value of kridge_dcor_test never builds an n x n matrix per
+permutation. With a_ij = |x_i - x_j| and b_ij = |y_i - y_j|, the squared
+distance covariance of x and y permuted by pi is S1(pi) + S2 - 2 S3(pi):
+S1 = sum_ij a_ij b_pi(i)pi(j) / n^2 is, once x is sorted, prefix sums plus a
+weighted inversion count, O(n log n) by a bottom-up merge; S2, the product of
+the distance sums over n^4, is the same for every permutation; and
+S3 = sum_i a_i. b_pi(i). / n^3 needs only the row sums, O(n). So a test with
+P permutations costs O(P n log n), against O(P n^2) for permuting a centred
+distance matrix, and returns the same p-value.
+
 Transfer entropy (binned plug-in estimator with circular-shift surrogates)
 supplies the feature-selection filter used by F-PCMCI.
 
@@ -138,8 +148,17 @@ def residualize_linear(target, Z) -> np.ndarray:
     return y - design @ beta
 
 
+# Smallest p-value a test reports: a present link never carries pval 0.0,
+# which the exported model reserves for absent links.
+_P_FLOOR = float(np.nextafter(0.0, 1.0))
+
+
 def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
-    """Linear partial-correlation CI test with a two-sided Student-t p-value."""
+    """Linear partial-correlation CI test with a two-sided Student-t p-value.
+
+    The p-value is floored at the smallest positive float, also for |r| = 1,
+    so that a dependent result never reads as the 0.0 of an absent link.
+    """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
     if len(x) != len(y):
@@ -155,10 +174,10 @@ def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
     ry = residualize_linear(y, Z)
     r = pearson(rx, ry)
     if 1.0 - r * r < 1e-15:
-        p = 0.0
+        p = _P_FLOOR
     else:
         t = r * math.sqrt(dof / (1.0 - r * r))
-        p = float(2.0 * sps.t.sf(abs(t), dof))
+        p = max(float(2.0 * sps.t.sf(abs(t), dof)), _P_FLOOR)
     return CITestResult(statistic=r, p_value=p, n_effective=n_eff, dependent=p <= alpha)
 
 
@@ -247,33 +266,141 @@ def distance_correlation(x, y) -> float:
     return float(min(math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y)), 1.0))
 
 
+# Permutations are scored in chunks of this many rows: enough to amortise
+# numpy's per-call overhead, few enough to keep the working set small.
+_PERM_CHUNK = 32
+# Width, relative to the size of the dCov^2 terms, of the band in which an
+# O(n log n) value is too close to the observed one to order. Its rounding
+# error against the O(n^2) form measures below 1e-15 on the same scale.
+_TIE_TOL = 1e-9
+
+
+def _distance_row_sums(v: np.ndarray) -> np.ndarray:
+    """Row sums sum_j |v_i - v_j| in O(n log n), from the count and the sum
+    of the values below and above each v_i; tied values get bit-identical
+    row sums."""
+    n = len(v)
+    s = np.sort(v)
+    csum = np.concatenate(([0.0], np.cumsum(s)))
+    lo = np.searchsorted(s, v, side="left")
+    hi = np.searchsorted(s, v, side="right")
+    return (v * lo - csum[lo]) + ((csum[n] - csum[hi]) - v * (n - hi))
+
+
+def _sorted_abs_cross_sums(xs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_{i<j} (xs[j] - xs[i]) * |W[r, j] - W[r, i]| for every row r of W,
+    with xs sorted ascending, in O(n log n) per row.
+
+    |d| = d + 2 max(-d, 0) splits the sum into
+    n sum(xs w) - sum(xs) sum(w), plus twice the inversion term: the sum of
+    (xs_j - xs_i)(w_i - w_j) over i < j with w_i > w_j. A bottom-up merge over
+    position blocks collects the inversion term, level by level, for the pairs
+    with i in a left block and j in its right neighbour. Expanded, a pair adds
+    x_j w_i + w_j x_i - x_j w_j - x_i w_i. The first two terms need, for each
+    right entry, the sums of w and x over the larger left entries: suffix sums
+    of the merged block. The last two need only how many entries of the other
+    block each entry passes in the merge, |merged index - own index|. Rows are
+    padded to a power of two with x = 0 and w = the row maximum, which add
+    exactly 0.
+    """
+    rows, n = W.shape
+    m = 1 << max(n - 1, 1).bit_length()
+    X = np.zeros((rows, m))
+    X[:, :n] = xs
+    Wp = np.empty((rows, m))
+    Wp[:, :n] = W
+    Wp[:, n:] = W.max(axis=1, keepdims=True)
+    inversions = np.zeros(rows)
+    half = 1
+    while half < m:
+        shape = (rows, m // (2 * half), 2 * half)
+        # Merge each (left, right) pair of sorted blocks. The stable sort keeps
+        # ties in position order, so a left entry after a right one has larger w.
+        order = np.argsort(Wp.reshape(shape), axis=-1, kind="stable")
+        Wp = np.take_along_axis(Wp.reshape(shape), order, axis=-1)
+        X = np.take_along_axis(X.reshape(shape), order, axis=-1)
+        right = order >= half
+        left_sums = np.where(right, 0.0, np.stack([Wp, X]))
+        sw, sx = np.cumsum(left_sums[..., ::-1], axis=-1)[..., ::-1]
+        passed = np.abs(order - np.arange(2 * half))
+        pairs = np.where(right, X * sw + Wp * sx, 0.0) - X * Wp * passed
+        inversions += pairs.reshape(rows, m).sum(axis=1)
+        Wp = Wp.reshape(rows, m)
+        X = X.reshape(rows, m)
+        half *= 2
+    return n * (W * xs).sum(axis=1) - xs.sum() * W.sum(axis=1) + 2.0 * inversions
+
+
+def _exact_exceedances(x: np.ndarray, y: np.ndarray, perms) -> int:
+    """#{permuted dcor >= observed} by the O(n^2) double-centred form, for
+    the few permutations whose O(n log n) statistic is too close to call."""
+    A = _centered_distance_matrix(x)
+    B = _centered_distance_matrix(y)
+    denom = math.sqrt(float((A * A).mean()) * float((B * B).mean()))
+    observed = math.sqrt(max(float((A * B).mean()), 0.0) / denom)
+    return sum(math.sqrt(max(float((A * B[np.ix_(p, p)]).mean()), 0.0) / denom) >= observed
+               for p in perms)
+
+
 def dcor_perm_test(x, y, params: KernelRegParams = KernelRegParams(), seed: int = 0) -> float:
     """Permutation p-value for distance correlation, +1/+1 smoothed.
 
     p = (1 + #{permuted dcor >= observed}) / (1 + permutations), permuting y
-    with a seeded generator. Double-centering commutes with permutation, so
-    the centered matrices are computed once.
+    with np.random.default_rng(seed).permutation(n), one draw per permutation.
+
+    With a_ij = |x_i - x_j| and b_ij = |y_i - y_j|, the V-statistic splits as
+    dCov^2(x, y o pi) = S1(pi) + S2 - 2 S3(pi), where
+      S1 = sum_ij a_ij b_pi(i)pi(j) / n^2   (O(n log n): _sorted_abs_cross_sums),
+      S2 = (sum a)(sum b) / n^4             (the same for every permutation),
+      S3 = sum_i a_i. b_pi(i). / n^3        (O(n) from the row sums).
+    So a permutation costs O(n log n), not the O(n^2) of permuting a centred
+    distance matrix. The observed value is row 0 of the first chunk (the
+    identity permutation); dcor is monotone in dCov^2, so dCov^2 is compared.
+
+    A permuted dCov^2 within _TIE_TOL (relative to the size of the terms) of
+    the observed one cannot be ordered against it by either form's rounding:
+    exact ties land there, such as a swap of tied values or, at very small n,
+    a symmetry of the data. Those few permutations are settled by the O(n^2)
+    form, so the p-value is the one that form alone gives. Constant x or y
+    gives 1.0.
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
     if len(x) != len(y) or len(x) < 4:
         raise ValueError(f"need equal lengths >= 4, got {len(x)} and {len(y)}")
     n = len(x)
-    A = _centered_distance_matrix(x)
-    B = _centered_distance_matrix(y)
-    dvar_x = float((A * A).mean())
-    dvar_y = float((B * B).mean())
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
+    if x.min() == x.max() or y.min() == y.max():
         return 1.0
-    denom = math.sqrt(dvar_x * dvar_y)
-    observed = math.sqrt(max(float((A * B).mean()), 0.0) / denom)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    ra = _distance_row_sums(xc)
+    rb = _distance_row_sums(yc)
+    order = np.argsort(xc, kind="stable")
+    xs = xc[order]
+    ra_sorted = ra[order]
+    s2 = float(ra.sum()) * float(rb.sum()) / n**4
     rng = np.random.default_rng(seed)
+    rows = params.permutations + 1
+    observed = scale_observed = 0.0
     exceed = 0
-    for _ in range(params.permutations):
-        perm = rng.permutation(n)
-        dcov2 = max(float((A * B[np.ix_(perm, perm)]).mean()), 0.0)
-        if math.sqrt(dcov2 / denom) >= observed:
-            exceed += 1
+    near = []
+    for start in range(0, rows, _PERM_CHUNK):
+        perms = np.stack([rng.permutation(n) if k else np.arange(n)
+                          for k in range(start, min(start + _PERM_CHUNK, rows))])
+        q = perms[:, order]
+        s1 = 2.0 * _sorted_abs_cross_sums(xs, yc[q]) / n**2
+        s3 = (rb[q] * ra_sorted).sum(axis=1) / n**3
+        dcov2 = np.maximum(s1 + s2 - 2.0 * s3, 0.0)
+        scale = s1 + s2 + 2.0 * s3
+        if start == 0:
+            observed, scale_observed = dcov2[0], scale[0]
+            perms, dcov2, scale = perms[1:], dcov2[1:], scale[1:]
+        gap = dcov2 - observed
+        band = _TIE_TOL * (scale + scale_observed)
+        exceed += int(np.count_nonzero(gap > band))
+        near.extend(perms[np.abs(gap) <= band])
+    if near:
+        exceed += _exact_exceedances(x, y, near)
     return (1 + exceed) / (1 + params.permutations)
 
 

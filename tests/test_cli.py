@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,20 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
         assert 0 <= batch["discovery_seconds"] <= manifest["wall_seconds"]
     # pool drained on shutdown
     assert list((out / "pool").glob("*.csv")) == []
+
+
+def test_python_m_cli_runs_the_pipeline(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalpipe.cli", "run", "--seed", "42",
+         "--duration", "150", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "model_00000.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["models_published"] == 1
 
 
 def test_run_duration_shorter_than_batch_fails_validation(tmp_path):

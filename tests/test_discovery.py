@@ -171,6 +171,16 @@ def test_pcmci_constant_batch_zero_structure():
     assert model.pval_matrix.sum() == 0
 
 
+def test_pcmci_deterministic_link_has_nonzero_pval():
+    # X1[t] = X0[t-1] with no noise: |r| = 1, yet the present edge must not
+    # carry pval 0.0, the value reserved for absent links
+    x0 = np.random.default_rng(0).normal(size=300)
+    batch = batch_from(np.column_stack([x0, np.concatenate(([0.0], x0[:-1]))]))
+    model = pcmci(batch, PARCORR)
+    assert model.causal_structure[0, 0, 1] == 1
+    assert model.pval_matrix[0, 0, 1] > 0.0
+
+
 def test_pcmci_masking_invariant():
     batch, _ = scm_batch([Edge(0, 1, 1, 0.8), Edge(0, 0, 1, 0.6)], n_vars=3, seed=1)
     model = pcmci(batch, PARCORR, batch_id="mask")

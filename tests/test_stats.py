@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from causalpipe.stats import (CITestResult, KernelRegParams, TEParams,
-                              dcor_perm_test, distance_correlation,
-                              kernel_ridge_residuals, kridge_dcor_test,
-                              parcorr_test, pearson, residualize_linear,
-                              te_significance, transfer_entropy)
+                              _sorted_abs_cross_sums, dcor_perm_test,
+                              distance_correlation, kernel_ridge_residuals,
+                              kridge_dcor_test, parcorr_test, pearson,
+                              residualize_linear, te_significance,
+                              transfer_entropy)
 
 FAST_KRIDGE = KernelRegParams(permutations=100)
 
@@ -33,6 +34,36 @@ def dcor_double_loop(x, y):
     if dvar_x <= 0 or dvar_y <= 0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_x * dvar_y))
+
+
+def dcor_perm_reference(x, y, params=KernelRegParams(), seed=0):
+    """The O(n^2)-per-permutation form: permute the centred distance matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def centred(v):
+        d = np.abs(v[:, None] - v[None, :])
+        return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+    A, B = centred(x), centred(y)
+    dvar_x = float((A * A).mean())
+    dvar_y = float((B * B).mean())
+    if dvar_x <= 0.0 or dvar_y <= 0.0:
+        return 1.0
+    denom = math.sqrt(dvar_x * dvar_y)
+    observed = math.sqrt(max(float((A * B).mean()), 0.0) / denom)
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(params.permutations):
+        perm = rng.permutation(len(x))
+        dcov2 = max(float((A * B[np.ix_(perm, perm)]).mean()), 0.0)
+        if math.sqrt(dcov2 / denom) >= observed:
+            exceed += 1
+    return (1 + exceed) / (1 + params.permutations)
+
+
+# Sizes around powers of two, so the merge's padding and its last block vary.
+PERM_SIZES = (4, 5, 9, 31, 32, 33, 100, 257, 500)
 
 
 # --- pearson ------------------------------------------------------------------
@@ -104,7 +135,16 @@ def test_parcorr_identical_series():
     x = np.random.default_rng(0).normal(size=100)
     result = parcorr_test(x, x)
     assert result.statistic == pytest.approx(1.0)
-    assert result.p_value < 1e-12
+    assert result.p_value == np.nextafter(0.0, 1.0)  # never the absent-link 0.0
+    assert result.dependent
+
+
+def test_parcorr_underflowing_tail_is_floored():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=500)
+    result = parcorr_test(x, x + 1e-6 * rng.normal(size=500))
+    assert 1.0 - result.statistic ** 2 >= 1e-15  # the Student-t branch
+    assert result.p_value == np.nextafter(0.0, 1.0)
     assert result.dependent
 
 
@@ -271,6 +311,64 @@ def test_dcor_perm_null_rate_sane():
         if dcor_perm_test(x, y, FAST_KRIDGE, seed=seed) <= 0.05:
             rejections += 1
     assert rejections / n_seeds <= 0.15
+
+
+@pytest.mark.parametrize("n", PERM_SIZES)
+def test_dcor_perm_matches_reference_exactly(n):
+    for seed in range(5):
+        rng = np.random.default_rng(1000 * n + seed)
+        x = rng.normal(size=n)
+        pairs = {
+            "independent": rng.normal(size=n),
+            "linear": 2.0 * x + 1.0,
+            "quadratic": x ** 2,
+            "identical": x.copy(),
+            "repeated values": np.round(rng.normal(size=n), 1),
+        }
+        for permutations in (50, 200):
+            params = KernelRegParams(permutations=permutations)
+            for kind, y in pairs.items():
+                assert dcor_perm_test(x, y, params, seed=seed) == \
+                    dcor_perm_reference(x, y, params, seed=seed), (kind, seed, permutations)
+
+
+def test_dcor_perm_constant_input_is_one():
+    x = np.random.default_rng(0).normal(size=33)
+    c = np.full(33, 2.5)
+    for a, b in ((x, c), (c, x), (c, c)):
+        assert dcor_perm_test(a, b, FAST_KRIDGE, seed=1) == 1.0
+        assert dcor_perm_reference(a, b, FAST_KRIDGE, seed=1) == 1.0
+
+
+def _abs_cross_sum_double_loop(xs, w):
+    total = 0.0
+    for j in range(len(xs)):
+        for i in range(j):
+            total += (xs[j] - xs[i]) * abs(w[j] - w[i])
+    return total
+
+
+@pytest.mark.parametrize("n", PERM_SIZES)
+def test_sorted_abs_cross_sums_matches_double_loop(n):
+    rng = np.random.default_rng(n)
+    xs = np.sort(rng.normal(size=n))
+    W = np.vstack([rng.normal(size=n),                # random order
+                   np.round(rng.normal(size=n), 1),   # many ties
+                   xs,                                # no inversions
+                   -xs,                               # every pair inverted
+                   np.where(rng.random(n) < 0.5, -1.0, 3.0)])
+    got = _sorted_abs_cross_sums(xs, W)
+    for row, w in zip(got, W):
+        assert row == pytest.approx(_abs_cross_sum_double_loop(xs.tolist(), w.tolist()),
+                                    rel=1e-12)
+
+
+def test_sorted_abs_cross_sums_beyond_int16_rows():
+    # every pair inverted: sum_{i<j} (j - i)^2 = sum_d (n - d) d^2, exactly
+    n = 40_000
+    xs = np.arange(n, dtype=np.float64)
+    exact = sum((n - d) * d * d for d in range(1, n))
+    assert _sorted_abs_cross_sums(xs, -xs[None, :])[0] == pytest.approx(exact, rel=1e-12)
 
 
 # --- kridge_dcor_test ----------------------------------------------------------------
