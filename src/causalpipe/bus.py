@@ -46,7 +46,7 @@ class Subscription:
     """Bounded FIFO queue of envelopes attached to one topic.
 
     Holds at most `capacity` envelopes; when full, the oldest queued message
-    is dropped to make room for the newest.
+    is dropped to make room for the newest, and `dropped` counts it.
     """
 
     def __init__(self, topic: "Topic", capacity: int):
@@ -56,9 +56,12 @@ class Subscription:
         self.capacity = capacity
         self._queue: deque[Envelope] = deque(maxlen=capacity)
         self._lock = threading.Lock()
+        self.dropped = 0
 
     def _push(self, envelope: Envelope) -> None:
         with self._lock:
+            if len(self._queue) == self.capacity:
+                self.dropped += 1
             self._queue.append(envelope)
 
     def drain(self) -> list[Envelope]:

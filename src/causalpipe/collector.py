@@ -100,6 +100,11 @@ class Collector:
         self.samples_skipped = 0
         config.pool_dir.mkdir(parents=True, exist_ok=True)
 
+    @property
+    def dropped(self) -> int:
+        """State messages lost because a subscription was full between ticks."""
+        return self._human_sub.dropped + self._robot_sub.dropped
+
     def _refresh_held(self) -> None:
         for env in self._human_sub.drain():
             self._held_human = env.payload

@@ -14,6 +14,17 @@ indexed [lag][source][target]: a binary skeleton, the test statistic of each
 significant link, and its p-value. val/pval are nonzero only where the
 skeleton is 1, and every skeleton-1 entry has p-value <= alpha.
 
+The tests of one batch that do not depend on each other run concurrently on
+one module-level thread pool, created on first use with one worker per CPU
+this process may run on: the directed transfer-entropy pairs of fpcmci and,
+with the kridge_dcor test, the parent pre-selection of each target and every
+MCI test once the parents are fixed (parcorr tests are too short to hand
+off). Most of a kernel-ridge / dCor test runs in numpy loops that release
+the interpreter lock, so two tests overlap in part. Seeds are derived on the
+calling thread and results are read back in submission order, so a model
+does not depend on the number of workers. Workers never submit to the pool,
+so it cannot deadlock.
+
 A PoolWatcher reproduces the batch worker: it polls a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
 deletes the file afterwards (corrupt files are quarantined, never silently
@@ -26,13 +37,15 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
 import threading
 import time as time_mod
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,6 +171,59 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The shared pool for independent tests, created on first use with one
+    worker per CPU in this process's affinity mask."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity API on this platform
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="causalpipe-ci")
+        return _pool
+
+
+def _pooled(params: DiscoveryParams) -> bool:
+    """Whether the CI tests of a batch go to the pool.
+
+    A kernel-ridge / dCor test takes tens of milliseconds, mostly in numpy
+    code that releases the interpreter lock. A parcorr test takes about
+    0.1 ms, less than a hand-off to a worker costs while another thread (the
+    simulator, in a running pipeline) holds the lock, so those run inline.
+    """
+    return params.ci_test == "kridge_dcor"
+
+
+def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True,
+             **kwargs) -> list[Any]:
+    """fn(*job, **kwargs) for every job, on the shared pool when `pooled`,
+    results in job order. The first failure in job order is raised
+    unchanged, after the jobs that have not started yet are cancelled."""
+    if not pooled:
+        return [fn(*job, **kwargs) for job in jobs]
+    pool = _executor()
+    try:
+        futures = [pool.submit(fn, *job, **kwargs) for job in jobs]
+    except RuntimeError:
+        # The pool takes no new work once the interpreter has begun to exit.
+        # A daemon watcher still inside a batch then finishes it on its own
+        # thread instead of failing and quarantining a good file.
+        return [fn(*job, **kwargs) for job in jobs]
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
+
+
 def _ci_test(params: DiscoveryParams, x, y, Z, seed: int) -> CITestResult:
     """Run the configured CI test; a test that raises counts as independent."""
     try:
@@ -272,6 +338,8 @@ def mci_tests(batch: TimeSeriesBatch,
                         reverse=True)
         return [c for c, _ in ranked]
 
+    jobs = []
+    cells = []
     for j in range(n_vars):
         y = X[window_start:, j]
         parents_j = top_parents(j)
@@ -291,10 +359,11 @@ def mci_tests(batch: TimeSeriesBatch,
                 Z = [_lagged_column(X, c.var_index, c.lag, window_start) for c in conds]
                 x = _lagged_column(X, i, tau, window_start)
                 seed = _derived_seed(params.seed, batch_id, "mci", i, j, tau)
-                result = _ci_test(params, x, y, Z, seed)
-                l = tau - params.tau_min
-                val[l, i, j] = result.statistic
-                pval[l, i, j] = result.p_value
+                jobs.append((params, x, y, Z, seed))
+                cells.append((tau - params.tau_min, i, j))
+    for (l, i, j), result in zip(cells, _run_all(_ci_test, jobs, _pooled(params))):
+        val[l, i, j] = result.statistic
+        pval[l, i, j] = result.p_value
     return val, pval
 
 
@@ -331,9 +400,9 @@ def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     if n_vars < 1:
         raise DiscoveryError("batch has no analysis variables")
     allowed_pairs = None if te_filter is None else set(te_filter["kept"])
-    parents = {j: pc1_condition_selection(batch, j, params, allowed_pairs=allowed_pairs,
-                                          batch_id=batch_id)
-               for j in range(n_vars)}
+    selected = _run_all(pc1_condition_selection, [(batch, j, params) for j in range(n_vars)],
+                        _pooled(params), allowed_pairs=allowed_pairs, batch_id=batch_id)
+    parents = dict(enumerate(selected))
     val, pval = mci_tests(batch, parents, params, allowed_pairs=allowed_pairs,
                           batch_id=batch_id)
     return _assemble_model(batch, params, val, pval, batch_id, te_filter)
@@ -353,15 +422,11 @@ def fpcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
-    directed: dict[tuple[int, int], bool] = {}
-    for i in range(n_vars):
-        for j in range(n_vars):
-            if i == j:
-                continue
-            seed = _derived_seed(params.seed, batch_id, "te", i, j)
-            te, threshold, significant = te_significance(X[:, i], X[:, j],
-                                                         te_params, seed=seed)
-            directed[(i, j)] = significant
+    pairs = [(i, j) for i in range(n_vars) for j in range(n_vars) if i != j]
+    jobs = [(X[:, i], X[:, j], te_params, _derived_seed(params.seed, batch_id, "te", i, j))
+            for i, j in pairs]
+    directed = {pair: significant
+                for pair, (_, _, significant) in zip(pairs, _run_all(te_significance, jobs))}
     kept: set[tuple[int, int]] = set()
     rejected: set[tuple[int, int]] = set()
     for (i, j), significant in directed.items():

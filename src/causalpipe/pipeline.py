@@ -4,7 +4,9 @@ One simulated clock drives the simulator and the collector in lockstep; the
 pool watcher runs in its own thread so causal analysis of one batch never
 blocks collection of the next. Every completed batch yields a JSON and a DOT
 model file in the output directory, and the run ends with a manifest
-(config echo, seed, per-batch timings, edge lists, artifact checksums).
+(config echo, seed, per-batch timings, edge lists, artifact checksums, and
+`bus_dropped`: the state messages the collector's bounded subscriptions
+dropped).
 
 A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
@@ -135,6 +137,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
         "sim_dt": SIM_DT,
         "samples_taken": collector.samples_taken,
         "samples_skipped": collector.samples_skipped,
+        "bus_dropped": collector.dropped,
         "csv_files_written": result.csv_files_written,
         "models_published": watcher.published,
         "quarantined": watcher.quarantined,

@@ -25,8 +25,12 @@ distance matrix, and returns the same p-value.
 Transfer entropy (binned plug-in estimator with circular-shift surrogates)
 supplies the feature-selection filter used by F-PCMCI.
 
-Everything here is pure given (inputs, seed) and therefore safe to evaluate
-in parallel across independent tests.
+Everything here is pure given (inputs, seed): no test reads or writes state
+shared with another. discovery.py relies on this to run independent tests
+concurrently on a thread pool. Threads overlap only where numpy releases the
+interpreter lock (argsorts, gathers, cumulative sums, ufunc loops over large
+arrays), which is why work is done in few large array operations rather than
+many small ones: te_significance scores all its surrogate shifts at once.
 """
 
 from __future__ import annotations
@@ -153,11 +157,19 @@ def residualize_linear(target, Z) -> np.ndarray:
 _P_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
+# A residual whose variance is at most this share of its input's variance
+# has collapsed: Z determines the series, and what is left is round-off.
+_COLLAPSED = 1e-12
+
+
 def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
     """Linear partial-correlation CI test with a two-sided Student-t p-value.
 
     The p-value is floored at the smallest positive float, also for |r| = 1,
     so that a dependent result never reads as the 0.0 of an absent link.
+    When Z determines x or y (its residual variance collapses to round-off),
+    the dependence is undetermined and the test reports p = 1, independent:
+    correlating round-off would report a spurious link.
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
@@ -165,13 +177,17 @@ def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
         raise ValueError("x and y must have equal lengths")
     n = len(x)
     n_eff = max(n, 3)
-    if x.std() == 0.0 or y.std() == 0.0:
+    sx, sy = x.std(), y.std()
+    if sx == 0.0 or sy == 0.0:
         return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
     dof = n - len(tuple(Z)) - 2
     if dof < 1:
         return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
     rx = residualize_linear(x, Z)
     ry = residualize_linear(y, Z)
+    # Residuals of a fit with an intercept have mean 0: r @ r / n is their variance.
+    if rx @ rx <= _COLLAPSED * n * sx * sx or ry @ ry <= _COLLAPSED * n * sy * sy:
+        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
     r = pearson(rx, ry)
     if 1.0 - r * r < 1e-15:
         p = _P_FLOOR
@@ -317,8 +333,10 @@ def _sorted_abs_cross_sums(xs: np.ndarray, W: np.ndarray) -> np.ndarray:
         # Merge each (left, right) pair of sorted blocks. The stable sort keeps
         # ties in position order, so a left entry after a right one has larger w.
         order = np.argsort(Wp.reshape(shape), axis=-1, kind="stable")
-        Wp = np.take_along_axis(Wp.reshape(shape), order, axis=-1)
-        X = np.take_along_axis(X.reshape(shape), order, axis=-1)
+        # One flat index, block offset plus merged order, gathers both arrays.
+        flat = order + np.arange(0, rows * m, 2 * half).reshape(rows, -1, 1)
+        Wp = Wp.take(flat)
+        X = X.take(flat)
         right = order >= half
         left_sums = np.where(right, 0.0, np.stack([Wp, X]))
         sw, sx = np.cumsum(left_sums[..., ::-1], axis=-1)[..., ::-1]
@@ -443,11 +461,54 @@ def _bin_codes(series: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _history_code(codes: np.ndarray, k: int, bins: int, t_start: int) -> np.ndarray:
-    """Combine codes[t-1..t-k] into one integer state per time t >= t_start."""
-    n = len(codes)
-    out = np.zeros(n - t_start, dtype=np.int64)
+    """Combine codes[..., t-1..t-k] into one integer state per time t >= t_start,
+    along the last axis."""
+    n = codes.shape[-1]
+    out = np.zeros(codes.shape[:-1] + (n - t_start,), dtype=np.int64)
     for lag in range(1, k + 1):
-        out = out * bins + codes[t_start - lag:n - lag]
+        out = out * bins + codes[..., t_start - lag:n - lag]
+    return out
+
+
+# Shifted sources are scored in groups whose joint-count tables hold at most
+# this many cells in all.
+_TE_CELLS = 1 << 20
+
+
+def _shifted_transfer_entropy(src: np.ndarray, dst: np.ndarray, shifts,
+                              params: TEParams) -> np.ndarray:
+    """Plug-in TE (nats) of np.roll(src, s) -> dst for every shift s.
+
+    Equal-width binning commutes with a circular shift, so src is binned once
+    and its codes are rolled; the tables that involve dst alone are shared by
+    every shift. Each row is the same arithmetic, in the same order, as one
+    shift on its own, so the values do not depend on how shifts are grouped.
+    """
+    out = np.zeros(len(shifts))
+    if src.std() == 0.0 or dst.std() == 0.0:
+        return out
+    bins, k = params.bins, params.k
+    states = bins ** k
+    dst_codes = _bin_codes(dst, bins)
+    y_past = _history_code(dst_codes, k, bins, k)
+    y_ab = dst_codes[k:] * states + y_past
+    joint_ab = np.bincount(y_ab)[y_ab].astype(np.float64)
+    marg_b = np.bincount(y_past)[y_past].astype(np.float64)
+    src_codes = _bin_codes(src, bins)
+    n = len(src)
+    abc_cells = bins * states * states
+    bc_cells = states * states
+    group = max(1, _TE_CELLS // abc_cells)
+    for start in range(0, len(shifts), group):
+        rolled = np.asarray(shifts[start:start + group])[:, None]
+        x_past = _history_code(src_codes[(np.arange(n) - rolled) % n], k, bins, k)
+        rows = np.arange(len(rolled))[:, None]
+        abc = y_ab * states + x_past + rows * abc_cells
+        bc = y_past * states + x_past + rows * bc_cells
+        counts = np.bincount(abc.ravel(), minlength=len(rolled) * abc_cells)[abc]
+        joint_bc = np.bincount(bc.ravel(), minlength=len(rolled) * bc_cells)[bc]
+        ratio = counts.astype(np.float64) * marg_b / (joint_ab * joint_bc.astype(np.float64))
+        out[start:start + len(rolled)] = np.maximum(np.log(ratio).mean(axis=1), 0.0)
     return out
 
 
@@ -462,32 +523,9 @@ def transfer_entropy(src, dst, params: TEParams = TEParams()) -> float:
     dst = _as_series(dst, "dst")
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal lengths")
-    n = len(src)
-    if n < 50:
-        raise ValueError(f"need length >= 50, got {n}")
-    if src.std() == 0.0 or dst.std() == 0.0:
-        return 0.0
-    bins, k = params.bins, params.k
-    src_codes = _bin_codes(src, bins)
-    dst_codes = _bin_codes(dst, bins)
-    y_now = dst_codes[k:]
-    y_past = _history_code(dst_codes, k, bins, k)
-    x_past = _history_code(src_codes, k, bins, k)
-    m = len(y_now)
-
-    states = bins ** k
-    abc = (y_now * states + y_past) * states + x_past
-    n_abc = np.bincount(abc)
-    n_ab = np.bincount(y_now * states + y_past)
-    n_bc = np.bincount(y_past * states + x_past)
-    n_b = np.bincount(y_past)
-
-    counts = n_abc[abc].astype(np.float64)
-    joint_ab = n_ab[y_now * states + y_past].astype(np.float64)
-    joint_bc = n_bc[y_past * states + x_past].astype(np.float64)
-    marg_b = n_b[y_past].astype(np.float64)
-    te = float(np.mean(np.log(counts * marg_b / (joint_ab * joint_bc))))
-    return max(te, 0.0)
+    if len(src) < 50:
+        raise ValueError(f"need length >= 50, got {len(src)}")
+    return float(_shifted_transfer_entropy(src, dst, [0], params)[0])
 
 
 def te_significance(src, dst, params: TEParams = TEParams(),
@@ -506,9 +544,7 @@ def te_significance(src, dst, params: TEParams = TEParams(),
     rng = np.random.default_rng(seed)
     n = len(src)
     guard = min(max(10, params.k + 1), n // 4)
-    surrogates = np.empty(params.shuffles)
-    for i in range(params.shuffles):
-        shift = int(rng.integers(guard, n - guard + 1))
-        surrogates[i] = transfer_entropy(np.roll(src, shift), dst, params)
+    shifts = [int(rng.integers(guard, n - guard + 1)) for _ in range(params.shuffles)]
+    surrogates = _shifted_transfer_entropy(src, dst, shifts, params)
     threshold = float(np.quantile(surrogates, params.quantile))
     return te, threshold, te > threshold

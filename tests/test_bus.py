@@ -68,6 +68,14 @@ def test_capacity_two_drops_oldest(bus):
     assert [e.payload.tag for e in drained] == ["b", "c"]
 
 
+def test_full_subscription_counts_dropped(bus):
+    sub = bus.subscribe("/roscausal/robot", capacity=2)
+    for k in range(5):
+        bus.publish("/roscausal/robot", RobotMsg(k), time=float(k))
+    assert sub.dropped == 3
+    assert [e.payload.tag for e in sub.drain()] == [3, 4]
+
+
 def test_subscribe_then_publish_delivers(bus):
     sub = bus.subscribe("/roscausal/robot", capacity=4)
     msg = RobotMsg("x")
@@ -132,6 +140,7 @@ def test_capacity_property_keeps_most_recent(tags, capacity):
     drained = [e.payload.tag for e in sub.drain()]
     assert drained == tags[-capacity:]
     assert len(drained) <= capacity
+    assert sub.dropped == len(tags) - len(drained)
 
 
 def test_concurrent_publish_and_drain():

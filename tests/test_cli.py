@@ -31,6 +31,7 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
     assert manifest["seed"] == 5
     assert manifest["config"]["collector"]["dt"] == 0.3  # config echo
     assert len(manifest["batches"]) == 1
+    assert manifest["bus_dropped"] == 0  # the collector drains every tick
     row = manifest["batches"][0]
     assert row["model_json"] == "model_00000.json"
     assert len(row["sha256_json"]) == 64
@@ -49,6 +50,18 @@ def test_python_m_cli_runs_the_pipeline(tmp_path):
          "--duration", "150", "--out", str(out)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "model_00000.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["models_published"] == 1
+
+
+def test_python_m_package_runs_the_pipeline(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "causalpipe", *fast_run_args(out)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert (out / "model_00000.json").exists()
     assert json.loads((out / "manifest.json").read_text())["models_published"] == 1

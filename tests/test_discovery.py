@@ -1,19 +1,25 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalpipe import discovery
 from causalpipe.bus import MessageBus
 from causalpipe.discovery import (MODEL_TOPIC, BatchTooShortError, CausalModel,
                                   DiscoveryParams, LaggedVariable, PoolWatcher,
-                                  batch_id_for, export_model, fpcmci,
+                                  batch_id_for, discover, export_model, fpcmci,
                                   lagged_candidates, load_model_json, mci_tests,
-                                  model_to_dict, pc1_condition_selection, pcmci)
+                                  model_from_dict, model_to_dict,
+                                  pc1_condition_selection, pcmci)
 from causalpipe.scm_bench import Edge, SCMSpec, generate
-from causalpipe.stats import TEParams
+from causalpipe.stats import KernelRegParams, TEParams
 from causalpipe.timeseries import TimeSeriesBatch, write_csv
 
 PARCORR = DiscoveryParams(alpha=0.05, tau_min=1, tau_max=1, ci_test="parcorr", seed=0)
@@ -173,12 +179,14 @@ def test_pcmci_constant_batch_zero_structure():
 
 def test_pcmci_deterministic_link_has_nonzero_pval():
     # X1[t] = X0[t-1] with no noise: |r| = 1, yet the present edge must not
-    # carry pval 0.0, the value reserved for absent links
+    # carry pval 0.0, the value reserved for absent links; and the MCI test
+    # of X1's self-lag, whose residuals collapse, must not report a link
     x0 = np.random.default_rng(0).normal(size=300)
     batch = batch_from(np.column_stack([x0, np.concatenate(([0.0], x0[:-1]))]))
     model = pcmci(batch, PARCORR)
     assert model.causal_structure[0, 0, 1] == 1
     assert model.pval_matrix[0, 0, 1] > 0.0
+    assert model.named_edges() == {("X0", "X1", 1)}
 
 
 def test_pcmci_masking_invariant():
@@ -334,6 +342,21 @@ def test_fpcmci_keeping_every_pair_matches_pcmci(monkeypatch):
     assert filtered.params_used == dataclasses.replace(plain.params_used, method="fpcmci")
 
 
+@pytest.mark.parametrize("method", ["pcmci", "fpcmci"])
+def test_kridge_model_does_not_depend_on_pool_size(method, monkeypatch):
+    batch, _ = scm_batch([Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6, "tanh")], n_vars=3,
+                         seed=4, n_samples=200)
+    params = DiscoveryParams(ci_test="kridge_dcor", method=method,
+                             kridge=KernelRegParams(permutations=50))
+    models = []
+    for workers in (1, 4):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(discovery, "_pool", pool)
+            models.append(model_to_dict(discover(batch, params, batch_id="pool")))
+    assert models[0] == models[1]
+    assert models[0]["params"]["method"] == method
+
+
 # --- export -------------------------------------------------------------------
 
 def manual_model(vals, names=("a", "b")):
@@ -394,6 +417,58 @@ def test_export_dot_labels_lag(tmp_path):
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export_model(manual_model({}), "svg", tmp_path / "x")
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@st.composite
+def small_models(draw):
+    n_vars = draw(st.integers(1, 3))
+    tau_min = draw(st.integers(1, 3))
+    tau_max = tau_min + draw(st.integers(0, 2))
+    shape = (tau_max - tau_min + 1, n_vars, n_vars)
+    alpha = draw(st.floats(1e-6, 0.999))
+    params = DiscoveryParams(
+        alpha=alpha, tau_min=tau_min, tau_max=tau_max,
+        ci_test=draw(st.sampled_from(["parcorr", "kridge_dcor"])),
+        max_conditions=draw(st.integers(0, 5)),
+        pc_alpha=draw(st.none() | st.floats(1e-6, 0.999)),
+        seed=draw(st.integers(0, 2**64)),
+        method=draw(st.sampled_from(["pcmci", "fpcmci"])),
+        kridge=KernelRegParams(ridge=draw(st.floats(1e-9, 1e3)),
+                               permutations=draw(st.integers(50, 1000))))
+    size = int(np.prod(shape))
+    structure = np.array(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)),
+                         dtype=np.uint8).reshape(shape)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    val = np.array(draw(st.lists(finite, min_size=size, max_size=size))).reshape(shape)
+    pval = np.array(draw(st.lists(st.floats(0.0, alpha), min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+    val[structure == 0] = 0.0
+    pval[structure == 0] = 0.0
+    pairs = st.lists(st.tuples(st.integers(0, n_vars - 1), st.integers(0, n_vars - 1)))
+    te_filter = draw(st.none() | st.fixed_dictionaries({
+        "kept": pairs, "rejected": pairs, "directed_significant": pairs,
+        "te_params": st.just(dataclasses.asdict(TEParams()))}))
+    names = draw(st.lists(st.text(max_size=8), min_size=n_vars, max_size=n_vars,
+                          unique=True))
+    return CausalModel(names, tau_min, tau_max, structure, val, pval, params,
+                       draw(st.text(max_size=12)), te_filter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models())
+def test_model_dict_json_round_trip_is_lossless(model):
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    for name in ("causal_structure", "val_matrix", "pval_matrix"):
+        assert _bits(getattr(back, name)) == _bits(getattr(model, name))
+    assert back.variable_names == model.variable_names
+    assert (back.tau_min, back.tau_max) == (model.tau_min, model.tau_max)
+    assert back.params_used == model.params_used
+    assert back.batch_id == model.batch_id
+    assert back.te_filter == model.te_filter
 
 
 def test_model_invariant_enforced_at_construction():
@@ -468,6 +543,47 @@ def test_watcher_background_thread_processes(tmp_path):
     watcher.stop()
     assert watcher.published == 1
     assert list(pool.glob("*.csv")) == []
+
+
+def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, caplog):
+    # a transfer-entropy job fails on a pool thread; the exception reaches
+    # the watcher unchanged and the batch is quarantined, not published
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    path = write_pool_file(pool, 0, seed=1)
+
+    def failing(src, dst, params, seed):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(discovery, "te_significance", failing)
+    watcher = PoolWatcher(pool, dataclasses.replace(PARCORR, method="fpcmci"))
+    with caplog.at_level(logging.ERROR, logger="causalpipe.discovery"):
+        assert watcher.drain() == []
+    assert (pool / "quarantine" / path.name).exists()
+    assert (watcher.quarantined, watcher.published) == (1, 0)
+    failures = [r for r in caplog.records if "analysis failed" in r.getMessage()]
+    assert [r.exc_info[0] for r in failures] == [FloatingPointError]
+
+
+def test_interpreter_exit_mid_batch_quarantines_nothing(tmp_path):
+    # a daemon watcher still analysing when the interpreter exits finds the
+    # thread pool closed; the batch must stay in the pool, not be quarantined
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    write_pool_file(pool, 0, seed=1)
+    script = ("import sys, time\n"
+              "from causalpipe.discovery import DiscoveryParams, PoolWatcher\n"
+              "params = DiscoveryParams(ci_test='kridge_dcor', method='fpcmci')\n"
+              "PoolWatcher(sys.argv[1], params, poll_interval=0.01).start()\n"
+              "time.sleep(0.05)\n")
+    src = os.path.dirname(os.path.dirname(discovery.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(pool)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "analysis failed" not in proc.stderr
+    assert not (pool / "quarantine").exists()
 
 
 def test_batch_id_from_filename():

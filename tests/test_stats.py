@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -60,6 +62,48 @@ def dcor_perm_reference(x, y, params=KernelRegParams(), seed=0):
         if math.sqrt(dcov2 / denom) >= observed:
             exceed += 1
     return (1 + exceed) / (1 + params.permutations)
+
+
+def transfer_entropy_reference(src, dst, params=TEParams()):
+    """One shift at a time: the per-call plug-in estimate."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.std() == 0.0 or dst.std() == 0.0:
+        return 0.0
+    bins, k = params.bins, params.k
+
+    def codes(v):
+        lo, hi = v.min(), v.max()
+        return np.clip(((v - lo) / (hi - lo) * bins).astype(np.int64), 0, bins - 1)
+
+    def history(c):
+        out = np.zeros(len(c) - k, dtype=np.int64)
+        for lag in range(1, k + 1):
+            out = out * bins + c[k - lag:len(c) - lag]
+        return out
+
+    src_codes, dst_codes = codes(src), codes(dst)
+    y_now, y_past, x_past = dst_codes[k:], history(dst_codes), history(src_codes)
+    states = bins ** k
+    abc = (y_now * states + y_past) * states + x_past
+    counts = np.bincount(abc)[abc].astype(np.float64)
+    joint_ab = np.bincount(y_now * states + y_past)[y_now * states + y_past].astype(np.float64)
+    joint_bc = np.bincount(y_past * states + x_past)[y_past * states + x_past].astype(np.float64)
+    marg_b = np.bincount(y_past)[y_past].astype(np.float64)
+    return max(float(np.mean(np.log(counts * marg_b / (joint_ab * joint_bc)))), 0.0)
+
+
+def te_significance_reference(src, dst, params=TEParams(), seed=0):
+    """A loop over the surrogate shifts, one TE estimate each."""
+    te = transfer_entropy_reference(src, dst, params)
+    rng = np.random.default_rng(seed)
+    n = len(src)
+    guard = min(max(10, params.k + 1), n // 4)
+    surrogates = [transfer_entropy_reference(np.roll(src, int(rng.integers(guard, n - guard + 1))),
+                                             dst, params)
+                  for _ in range(params.shuffles)]
+    threshold = float(np.quantile(surrogates, params.quantile))
+    return te, threshold, te > threshold
 
 
 # Sizes around powers of two, so the merge's padding and its last block vary.
@@ -146,6 +190,17 @@ def test_parcorr_underflowing_tail_is_floored():
     assert 1.0 - result.statistic ** 2 >= 1e-15  # the Student-t branch
     assert result.p_value == np.nextafter(0.0, 1.0)
     assert result.dependent
+
+
+def test_parcorr_collapsed_residual_is_undetermined():
+    # Z determines x exactly: its residual is round-off, whose correlation
+    # with anything says nothing about dependence
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=200)
+    y = rng.normal(size=200)
+    for args in ((2.0 * z + 1.0, y), (y, 2.0 * z + 1.0)):
+        result = parcorr_test(*args, [z])
+        assert (result.statistic, result.p_value, result.dependent) == (0.0, 1.0, False)
 
 
 def test_parcorr_null_pvalues_uniform():
@@ -473,11 +528,61 @@ def test_te_significance_coupled_pair():
     assert found >= 0.95 * n_seeds
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_te_significance_matches_reference_exactly(k):
+    # every shift scored at once gives the values of one shift at a time,
+    # bit for bit, also on ties (rounded series), constant sources and
+    # tables too large to score all shifts in one group
+    for case in range(40):
+        rng = np.random.default_rng(1000 * k + case)
+        n = int(rng.integers(50, 600))
+        src = rng.normal(size=n)
+        if case % 4 == 1:
+            src = np.round(src, 1)
+        elif case % 4 == 2:
+            src = np.ones(n)
+        dst = np.concatenate(([0.0], 0.7 * src[:-1] + rng.normal(size=n - 1)))
+        if case % 4 == 3:
+            dst = np.round(dst)
+        params = TEParams(k=k, bins=int(rng.integers(2, 13)),
+                          shuffles=int(rng.integers(1, 150)))
+        assert te_significance(src, dst, params, seed=case) == \
+            te_significance_reference(src, dst, params, seed=case)
+        assert transfer_entropy(src, dst, params) == \
+            transfer_entropy_reference(src, dst, params)
+
+
 def test_te_significance_deterministic():
     rng = np.random.default_rng(9)
     src = rng.normal(size=300)
     dst = rng.normal(size=300)
     assert te_significance(src, dst, seed=11) == te_significance(src, dst, seed=11)
+
+
+# --- concurrent evaluation -----------------------------------------------------
+
+def test_tests_give_the_same_results_on_concurrent_threads():
+    # Discovery runs independent tests on a thread pool; each must be pure
+    # given (inputs, seed), so results equal a sequential loop
+    jobs = []
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        z = rng.normal(size=150)
+        x = np.sin(z) + 0.5 * rng.normal(size=150)
+        y = z ** 2 + 0.5 * rng.normal(size=150)
+        jobs += [(kridge_dcor_test, (x, y, [z], FAST_KRIDGE, seed)),
+                 (kridge_dcor_test, (x, y, (), FAST_KRIDGE, seed)),
+                 (te_significance, (z, y, TEParams(shuffles=20), seed))]
+    sequential = [fn(*args) for fn, args in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            concurrent = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
 
 
 # --- parameter validation ------------------------------------------------------------------
