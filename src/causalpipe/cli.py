@@ -21,8 +21,7 @@ import time as time_mod
 from pathlib import Path
 
 from . import scm_bench
-from .config import (ConfigError, ScenarioConfig, default_config, load_config,
-                     validate)
+from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .discovery import DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
 from .stats import TEParams
@@ -116,15 +115,15 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     return config
 
 
+def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The --config file, or the default config, with the flags applied."""
+    config = load_config(args.config) if args.config is not None else default_config()
+    return _apply_overrides(config, args)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = default_config(output_dir=args.out or "out")
-    config = _apply_overrides(config, args)
-    problems = validate(config)
-    if problems:
-        raise ConfigError(problems)
+    config = _load_config(args)
+    # run_pipeline validates the config before it does anything else
     result = run_pipeline(config, drain_pool=not args.quiet_abort)
     if not args.quiet:
         print(f"wrote {len(result.model_files)} model pair(s) to {result.output_dir}")
@@ -132,21 +131,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _discovery_args(args: argparse.Namespace) -> tuple[DiscoveryParams, TEParams]:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        config = default_config()
-    config = _apply_overrides(config, args)
-    return config.discovery, config.te
-
-
 def _cmd_discover(args: argparse.Namespace) -> int:
     if not args.csv.exists():
         print(f"error: file not found: {args.csv}", file=sys.stderr)
         return EXIT_VALIDATION
-    params, te_params = _discovery_args(args)
-    json_path, dot_path = discover_csv(args.csv, params, te_params, args.out)
+    config = _load_config(args)
+    json_path, dot_path = discover_csv(args.csv, config.discovery, config.te, args.out)
     if not args.quiet:
         print(f"model written: {json_path}")
         print(f"graph written: {dot_path}")

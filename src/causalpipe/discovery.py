@@ -41,7 +41,6 @@ import os
 import re
 import shutil
 import threading
-import time as time_mod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,9 +49,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bus import MessageBus
-from .stats import (CITestResult, KernelRegParams, TEParams, kridge_dcor_test,
-                    parcorr_test, te_significance)
-from .timeseries import TimeSeriesBatch, read_csv
+from .stats import (INDEPENDENT, CITestResult, KernelRegParams, TEParams,
+                    kridge_dcor_test, parcorr_test, te_significance)
+from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -228,22 +227,20 @@ def _ci_test(params: DiscoveryParams, x, y, Z, seed: int) -> CITestResult:
     """Run the configured CI test; a test that raises counts as independent."""
     try:
         if params.ci_test == "parcorr":
-            return parcorr_test(x, y, Z, alpha=params.alpha)
-        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed, alpha=params.alpha)
+            return parcorr_test(x, y, Z)
+        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed)
     except Exception:
         log.exception("CI test failed; treating as independent")
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=max(len(y), 3),
-                            dependent=False)
+        return INDEPENDENT
 
 
-def lagged_candidates(n_vars: int, params: DiscoveryParams) -> dict[int, list[LaggedVariable]]:
-    """Every (source, lag) pair per target, self-lags included."""
+def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariable]:
+    """Every (source, lag) pair, self-lags included; the same for each target."""
     if n_vars < 1:
         raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    per_target = [LaggedVariable(i, tau)
-                  for i in range(n_vars)
-                  for tau in range(params.tau_min, params.tau_max + 1)]
-    return {j: list(per_target) for j in range(n_vars)}
+    return [LaggedVariable(i, tau)
+            for i in range(n_vars)
+            for tau in range(params.tau_min, params.tau_max + 1)]
 
 
 def _lagged_column(X: np.ndarray, var: int, lag: int, window_start: int) -> np.ndarray:
@@ -283,7 +280,7 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
         raise ValueError(f"target {target} outside [0,{n_vars})")
     window_start = params.tau_max
     _check_usable_rows(X, window_start, params)
-    survivors = [c for c in lagged_candidates(n_vars, params)[target]
+    survivors = [c for c in lagged_candidates(n_vars, params)
                  if allowed_pairs is None or c.var_index == target
                  or (c.var_index, target) in allowed_pairs]
     y = X[window_start:, target]
@@ -523,14 +520,13 @@ def export_model(model: CausalModel, format: str, path: str | Path) -> None:
     """Write the model as pretty JSON (full tensors) or Graphviz DOT.
 
     DOT edges are labeled with their lag and drawn with pen width
-    proportional to |val|.
+    proportional to |val|. The file is replaced atomically: a failed write
+    leaves any earlier file at `path` as it was.
     """
-    path = Path(path)
     if format == "json":
-        payload = json.dumps(model_to_dict(model), sort_keys=True, indent=2)
-        path.write_text(payload + "\n", encoding="utf-8")
+        write_atomic(path, json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n")
     elif format == "dot":
-        path.write_text(_dot_source(model), encoding="utf-8")
+        write_atomic(path, _dot_source(model))
     else:
         raise ValueError(f"unknown export format {format!r} (expected json or dot)")
 
@@ -563,8 +559,7 @@ class PoolWatcher:
                  te_params: TEParams = TEParams(),
                  bus: MessageBus | None = None,
                  on_model: Callable[[CausalModel, Path], None] | None = None,
-                 poll_interval: float = 1.0,
-                 process_delay: float = 0.0):
+                 poll_interval: float = 1.0):
         self.pool_dir = Path(pool_dir)
         if not self.pool_dir.is_dir():
             raise FileNotFoundError(f"pool directory {self.pool_dir} does not exist")
@@ -573,7 +568,6 @@ class PoolWatcher:
         self.bus = bus
         self.on_model = on_model
         self.poll_interval = poll_interval
-        self.process_delay = process_delay
         self.quarantine_dir = self.pool_dir / "quarantine"
         self.published = 0
         self.quarantined = 0
@@ -605,10 +599,10 @@ class PoolWatcher:
         """
         with self._work_lock:
             for path in self._pending():
-                if self.process_delay > 0:
-                    time_mod.sleep(self.process_delay)
                 try:
                     batch = read_csv(path)
+                    # `discover` is looked up at call time, so a wrapper set
+                    # on this module (a delay, a timer) sees every batch
                     model = discover(batch, self.params, self.te_params,
                                      batch_id=batch_id_for(path))
                 except Exception:

@@ -23,6 +23,7 @@ from .state import AgentState, Pose2D, StateMerger, Velocity2D, normalize_angle
 
 SIM_DT = 0.05
 DEFAULT_MIN_GOAL_DIST = 3.0
+BODY_RADIUS = 0.3  # of both agents [m]
 
 
 class Bounds(NamedTuple):
@@ -44,9 +45,8 @@ class SFMParams:
     noise_accel is a small seeded fluctuation force; pause_rate/pause_min/
     pause_max give the walker occasional stop-and-go halts, standing in for
     the stop/go texture of a human operator. Both keep every feature carrying
-    exogenous variation of its own. reaction_delay lags the walker's
-    perception of the robot (people respond to a moving machine with some
-    latency); goal seeking stays undelayed, being self-paced.
+    exogenous variation of its own. The walker reacts to the robot's current
+    state, with no perception delay.
     """
 
     relaxation_time: float = 0.5
@@ -60,7 +60,6 @@ class SFMParams:
     pause_rate: float = 0.35
     pause_min: float = 0.4
     pause_max: float = 1.2
-    reaction_delay: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("relaxation_time", "desired_speed", "repulsion_strength",
@@ -76,8 +75,6 @@ class SFMParams:
             raise ValueError(
                 f"need 0 < pause_min <= pause_max, got [{self.pause_min}, {self.pause_max}]"
             )
-        if self.reaction_delay < 0:
-            raise ValueError(f"reaction_delay must be >= 0, got {self.reaction_delay}")
 
 
 @dataclass(frozen=True)
@@ -195,18 +192,16 @@ class Simulator:
                  bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0,
                  bus: MessageBus | None = None,
                  human_start: tuple[float, float] = (5.0, 2.0),
-                 human_radius: float = 0.3, robot_radius: float = 0.3,
                  min_goal_dist: float = DEFAULT_MIN_GOAL_DIST):
         self.sfm = sfm
         self.path = path
         self.bounds = bounds
         self.min_goal_dist = min_goal_dist
-        self._human_merger = StateMerger.for_human(bus=bus, body_radius=human_radius)
-        self._robot_merger = StateMerger.for_robot(bus=bus, body_radius=robot_radius)
+        self._human_merger = StateMerger.for_human(bus=bus, body_radius=BODY_RADIUS)
+        self._robot_merger = StateMerger.for_robot(bus=bus, body_radius=BODY_RADIUS)
         self._waypoint_index = 1
         self._published_initial = False
         self._paused_until = -1.0
-        self._robot_trace: list[tuple[float, AgentState]] = []
 
         rng = np.random.default_rng(seed)
         goal = sample_goal(rng, bounds, human_start, min_goal_dist)
@@ -214,7 +209,7 @@ class Simulator:
             agent_id="human", stamp=0.0,
             pose=Pose2D(human_start[0], human_start[1], 0.0),
             velocity=Velocity2D(0.0, 0.0, 0.0),
-            goal=goal, body_radius=human_radius,
+            goal=goal, body_radius=BODY_RADIUS,
         )
         start = path.waypoints[0]
         target = path.waypoints[1]
@@ -223,7 +218,7 @@ class Simulator:
             agent_id="robot", stamp=0.0,
             pose=Pose2D(start[0], start[1], heading),
             velocity=Velocity2D(0.0, 0.0, 0.0),
-            goal=target, body_radius=robot_radius,
+            goal=target, body_radius=BODY_RADIUS,
         )
         self.world = WorldState(time=0.0, human=human, robot=robot,
                                 bounds=bounds, rng=rng)
@@ -237,20 +232,6 @@ class Simulator:
         w = self.world
         self._human_merger.merge(w.human.pose, w.human.velocity, w.human.goal, 0.0)
         self._robot_merger.merge(w.robot.pose, w.robot.velocity, w.robot.goal, 0.0)
-
-    def _perceived_robot(self) -> AgentState:
-        """Robot state as the human perceives it, reaction_delay seconds old."""
-        if self.sfm.reaction_delay <= 0 or not self._robot_trace:
-            return self.world.robot
-        cutoff = self.world.time - self.sfm.reaction_delay
-        perceived = self._robot_trace[0][1]
-        for stamp, state in self._robot_trace:
-            if stamp > cutoff:
-                break
-            perceived = state
-        while self._robot_trace and self._robot_trace[0][0] < cutoff - 0.5:
-            self._robot_trace.pop(0)
-        return perceived
 
     def _step_human(self, dt: float) -> AgentState:
         w = self.world
@@ -266,7 +247,7 @@ class Simulator:
             attraction = np.array([-h.velocity.vx, -h.velocity.vy]) / self.sfm.relaxation_time
         else:
             attraction = goal_attraction_force(h, self.sfm)
-        force = attraction + agent_repulsion_force(h, self._perceived_robot(), self.sfm)
+        force = attraction + agent_repulsion_force(h, w.robot, self.sfm)
         if self.sfm.noise_accel > 0:
             force = force + self.sfm.noise_accel * w.rng.standard_normal(2)
         vx = h.velocity.vx + force[0] * dt
@@ -321,12 +302,9 @@ class Simulator:
             raise ValueError(f"dt must be in (0, 0.1], got {dt}")
         if not self._published_initial:
             self.publish_initial()
-        if not self._robot_trace:
-            self._robot_trace.append((self.world.time, self.world.robot))
         human = self._step_human(dt)
         robot = self._step_robot(dt)
         self.world.human = human
         self.world.robot = robot
         self.world.time += dt
-        self._robot_trace.append((self.world.time, robot))
         return self.world

@@ -25,6 +25,9 @@ distance matrix, and returns the same p-value.
 Transfer entropy (binned plug-in estimator with circular-shift surrogates)
 supplies the feature-selection filter used by F-PCMCI.
 
+A CI test returns a statistic and a p-value; discovery.py applies the
+significance thresholds.
+
 Everything here is pure given (inputs, seed): no test reads or writes state
 shared with another. discovery.py relies on this to run independent tests
 concurrently on a thread pool. Threads overlap only where numpy releases the
@@ -51,20 +54,20 @@ class KernelSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class CITestResult:
-    """Outcome of one conditional-independence query."""
+    """Outcome of one CI query: a finite statistic and a p-value in [0, 1]."""
 
     statistic: float
     p_value: float
-    n_effective: int
-    dependent: bool
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError(f"p_value must be in [0,1], got {self.p_value}")
         if not math.isfinite(self.statistic):
             raise ValueError(f"statistic must be finite, got {self.statistic}")
-        if self.n_effective < 3:
-            raise ValueError(f"n_effective must be >= 3, got {self.n_effective}")
+
+
+# What a test reports when the data cannot show dependence.
+INDEPENDENT = CITestResult(statistic=0.0, p_value=1.0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ _P_FLOOR = float(np.nextafter(0.0, 1.0))
 _COLLAPSED = 1e-12
 
 
-def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
+def parcorr_test(x, y, Z=()) -> CITestResult:
     """Linear partial-correlation CI test with a two-sided Student-t p-value.
 
     The p-value is floored at the smallest positive float, also for |r| = 1,
@@ -176,25 +179,24 @@ def parcorr_test(x, y, Z=(), alpha: float = 0.05) -> CITestResult:
     if len(x) != len(y):
         raise ValueError("x and y must have equal lengths")
     n = len(x)
-    n_eff = max(n, 3)
     sx, sy = x.std(), y.std()
     if sx == 0.0 or sy == 0.0:
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
+        return INDEPENDENT
     dof = n - len(tuple(Z)) - 2
     if dof < 1:
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
+        return INDEPENDENT
     rx = residualize_linear(x, Z)
     ry = residualize_linear(y, Z)
     # Residuals of a fit with an intercept have mean 0: r @ r / n is their variance.
     if rx @ rx <= _COLLAPSED * n * sx * sx or ry @ ry <= _COLLAPSED * n * sy * sy:
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
+        return INDEPENDENT
     r = pearson(rx, ry)
     if 1.0 - r * r < 1e-15:
         p = _P_FLOOR
     else:
         t = r * math.sqrt(dof / (1.0 - r * r))
         p = max(float(2.0 * sps.t.sf(abs(t), dof)), _P_FLOOR)
-    return CITestResult(statistic=r, p_value=p, n_effective=n_eff, dependent=p <= alpha)
+    return CITestResult(statistic=r, p_value=p)
 
 
 def median_bandwidth(sq: np.ndarray) -> float:
@@ -423,7 +425,7 @@ def dcor_perm_test(x, y, params: KernelRegParams = KernelRegParams(), seed: int 
 
 
 def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
-                     seed: int = 0, alpha: float = 0.05) -> CITestResult:
+                     seed: int = 0) -> CITestResult:
     """Nonlinear CI test: kernel-ridge residuals + distance correlation.
 
     With Z empty this reduces to the permutation dcor test on centered series.
@@ -432,10 +434,8 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
     y = _as_series(y, "y")
     if len(x) != len(y):
         raise ValueError("x and y must have equal lengths")
-    n = len(x)
-    n_eff = max(n, 3)
     if x.std() == 0.0 or y.std() == 0.0:
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
+        return INDEPENDENT
     Z = tuple(Z)
     if Z:
         rx = kernel_ridge_residuals(x, Z, params)
@@ -444,11 +444,10 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
         rx = x - x.mean()
         ry = y - y.mean()
     if rx.std() == 0.0 or ry.std() == 0.0:
-        return CITestResult(statistic=0.0, p_value=1.0, n_effective=n_eff, dependent=False)
+        return INDEPENDENT
     statistic = distance_correlation(rx, ry)
     p = dcor_perm_test(rx, ry, params, seed=seed)
-    return CITestResult(statistic=statistic, p_value=p, n_effective=n_eff,
-                        dependent=p <= alpha)
+    return CITestResult(statistic=statistic, p_value=p)
 
 
 def _bin_codes(series: np.ndarray, bins: int) -> np.ndarray:

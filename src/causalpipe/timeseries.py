@@ -10,7 +10,7 @@ is carried for traceability and dropped before causal analysis.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,22 +67,28 @@ class TimeSeriesBatch:
         return [self.variable_names[i] for i in keep], self.rows[:, keep]
 
 
-def write_csv(batch: TimeSeriesBatch, path: str | Path) -> None:
-    """Write a batch atomically (temp file in the target dir, then rename)."""
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text to `path` through a temp file in the same directory
+    and a rename, so a reader sees the old file or the whole new one, never a
+    part. On failure the temp file is removed and the old file is untouched.
+    The file gets the permissions a plain open() would give it."""
     path = Path(path)
+    tmp = path.with_name(f".tmp-{secrets.token_hex(8)}.part")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(batch: TimeSeriesBatch, path: str | Path) -> None:
+    """Write a batch atomically (see write_atomic)."""
     lines = [",".join(batch.variable_names)]
     for row in batch.rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    payload = "\n".join(lines) + "\n"
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str | Path) -> TimeSeriesBatch:

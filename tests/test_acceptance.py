@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from causalpipe import cli
+from causalpipe import cli, discovery
 from causalpipe.bus import MessageBus
 from causalpipe.collector import Collector, CollectorConfig
 from causalpipe.config import default_config
@@ -135,7 +135,7 @@ def test_criterion_3_scenario_reproduction(tmp_path):
           "qualitative agreement with the expected interaction graph)")
 
 
-def test_criterion_4_asynchrony_and_pool_semantics(tmp_path):
+def test_criterion_4_asynchrony_and_pool_semantics(tmp_path, monkeypatch):
     pool = tmp_path / "pool"
     pool.mkdir()
     config = default_config()
@@ -153,13 +153,20 @@ def test_criterion_4_asynchrony_and_pool_semantics(tmp_path):
         sim_probe.step(SIM_DT)
     wall_per_batch = (time.perf_counter() - t0) * (150.0 / 30.0)
     delay = max(1.0, 2.0 * wall_per_batch)
+    analyse = discovery.discover
+
+    def slow(*args, **kwargs):
+        time.sleep(delay)
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(discovery, "discover", slow)
 
     sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=4, bus=bus)
     coll_config = CollectorConfig(dt=0.3, batch_seconds=150.0, pool_dir=pool)
     collector = Collector(bus, coll_config,
                           lambda samples: postprocess_batch(samples, config.risk))
     watcher = PoolWatcher(pool, DiscoveryParams(ci_test="parcorr"),
-                          bus=bus, poll_interval=0.02, process_delay=delay)
+                          bus=bus, poll_interval=0.02)
     watcher.start()
     try:
         sim.publish_initial()

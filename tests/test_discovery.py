@@ -40,17 +40,13 @@ def scm_batch(edges, n_vars, seed, n_samples=500):
 
 def test_candidates_enumeration_three_vars():
     cands = lagged_candidates(3, PARCORR)
-    assert set(cands) == {0, 1, 2}
-    for j in range(3):
-        assert len(cands[j]) == 3
-    total_pairs = sum(len(v) for v in cands.values())
-    assert total_pairs == 9
+    assert cands == [LaggedVariable(0, 1), LaggedVariable(1, 1), LaggedVariable(2, 1)]
 
 
 def test_candidates_single_var_two_lags():
     params = DiscoveryParams(tau_min=1, tau_max=2)
     cands = lagged_candidates(1, params)
-    assert cands[0] == [LaggedVariable(0, 1), LaggedVariable(0, 2)]
+    assert cands == [LaggedVariable(0, 1), LaggedVariable(0, 2)]
 
 
 def test_tau_range_validation():
@@ -235,12 +231,12 @@ def test_pcmci_failed_ci_test_is_logged_and_link_absent(monkeypatch, caplog):
     original = discovery.parcorr_test
     raised = []
 
-    def failing(x, y, Z=(), alpha=0.05):
+    def failing(x, y, Z=()):
         # the MCI test of X0 at lag 1 against X1 (window starts at row 2)
         if not raised and np.array_equal(x, X[1:-1, 0]) and np.array_equal(y, X[2:, 1]):
             raised.append(True)
             raise FloatingPointError("injected")
-        return original(x, y, Z, alpha=alpha)
+        return original(x, y, Z)
 
     monkeypatch.setattr(discovery, "parcorr_test", failing)
     with caplog.at_level(logging.ERROR, logger="causalpipe.discovery"):
@@ -417,6 +413,22 @@ def test_export_dot_labels_lag(tmp_path):
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export_model(manual_model({}), "svg", tmp_path / "x")
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_failed_replace_keeps_old_file(tmp_path, monkeypatch, fmt):
+    # a crash mid-write must never leave a truncated model file behind
+    path = tmp_path / f"model.{fmt}"
+    path.write_text("old\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        export_model(manual_model({(0, 1): 0.5}), fmt, path)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no .tmp-* left
 
 
 def _bits(a):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from causalpipe.bus import MessageBus
+from causalpipe.config import default_config
 from causalpipe.sim import (DEFAULT_BOUNDS, Bounds, GoalSamplingError, RobotPath,
                             SFMParams, SIM_DT, Simulator, agent_repulsion_force,
                             goal_attraction_force, sample_goal)
@@ -164,6 +166,24 @@ def test_goal_reached_triggers_resample():
     assert len(goals) >= 3
     # at every switch instant the human stood within goal_radius of the old goal
     assert sim.goal_switches, "no goal was ever reached"
+
+
+def test_memory_stays_bounded_over_a_long_run():
+    # the simulator runs as long as the robot does, so a step must not leave
+    # anything behind (6,000 steps are 300 simulated seconds)
+    config = default_config()
+    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed)
+    tracemalloc.start()
+    try:
+        for _ in range(300):
+            sim.step(SIM_DT)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(6000):
+            sim.step(SIM_DT)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"{grown} bytes kept by 6,000 steps"
 
 
 def test_clearance_over_ten_seeds():

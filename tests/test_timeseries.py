@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from causalpipe.timeseries import CsvFormatError, TimeSeriesBatch, read_csv, write_csv
+from causalpipe.timeseries import (CsvFormatError, TimeSeriesBatch, read_csv, write_atomic,
+                                   write_csv)
 
 
 def make_batch(rows, names=None):
@@ -106,3 +107,13 @@ def test_write_is_atomic_no_partials(tmp_path):
     write_csv(batch, path)
     leftovers = [p for p in tmp_path.iterdir() if p.name != "x.csv"]
     assert leftovers == []
+
+
+def test_atomic_write_gets_plain_open_permissions(tmp_path):
+    # output files stay readable to whoever could read a plainly written file
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x\n", encoding="utf-8")
+    atomic = tmp_path / "atomic.txt"
+    write_atomic(atomic, "x\n")
+    assert atomic.read_bytes() == plain.read_bytes()
+    assert atomic.stat().st_mode == plain.stat().st_mode
