@@ -23,7 +23,9 @@ off). Most of a kernel-ridge / dCor test runs in numpy loops that release
 the interpreter lock, so two tests overlap in part. Seeds are derived on the
 calling thread and results are read back in submission order, so a model
 does not depend on the number of workers. Workers never submit to the pool,
-so it cannot deadlock.
+so it cannot deadlock. With kridge_dcor, the tests of each phase of a batch
+share one stats.KernelRidgeCache, keyed by row window and lagged variables,
+so a kernel or a kernel-ridge fit needed by several tests is computed once.
 
 A PoolWatcher reproduces the batch worker: it polls a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
@@ -49,8 +51,8 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bus import MessageBus
-from .stats import (INDEPENDENT, CITestResult, KernelRegParams, TEParams,
-                    kridge_dcor_test, parcorr_test, te_significance)
+from .stats import (INDEPENDENT, CITestResult, KernelRegParams, KernelRidgeCache,
+                    TEParams, kridge_dcor_test, parcorr_test, te_significance)
 from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
 log = logging.getLogger(__name__)
@@ -223,12 +225,15 @@ def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True,
         raise
 
 
-def _ci_test(params: DiscoveryParams, x, y, Z, seed: int) -> CITestResult:
-    """Run the configured CI test; a test that raises counts as independent."""
+def _ci_test(params: DiscoveryParams, x, y, Z, seed: int,
+             cache: KernelRidgeCache | None = None, keys: tuple | None = None) -> CITestResult:
+    """Run the configured CI test; a test that raises counts as independent.
+    `cache` and `keys` reach kridge_dcor_test, which shares kernel-ridge
+    residuals through them."""
     try:
         if params.ci_test == "parcorr":
             return parcorr_test(x, y, Z)
-        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed)
+        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed, cache=cache, keys=keys)
     except Exception:
         log.exception("CI test failed; treating as independent")
         return INDEPENDENT
@@ -241,6 +246,18 @@ def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariab
     return [LaggedVariable(i, tau)
             for i in range(n_vars)
             for tau in range(params.tau_min, params.tau_max + 1)]
+
+
+def _kernel_cache(params: DiscoveryParams) -> KernelRidgeCache | None:
+    """A fresh cache for the kernel-ridge work of one phase of one batch."""
+    return KernelRidgeCache(params.kridge) if params.ci_test == "kridge_dcor" else None
+
+
+def _ci_keys(window_start: int, x: LaggedVariable, y: LaggedVariable,
+             conds: Sequence[LaggedVariable]) -> tuple:
+    """Cache keys of one test's x, y and Z: the row window fixes which rows a
+    lagged variable's column holds, and Z's columns keep their order."""
+    return (window_start, x), (window_start, y), (window_start, tuple(conds))
 
 
 def _lagged_column(X: np.ndarray, var: int, lag: int, window_start: int) -> np.ndarray:
@@ -262,7 +279,9 @@ def _check_usable_rows(X: np.ndarray, window_start: int, params: DiscoveryParams
 def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
                             params: DiscoveryParams,
                             allowed_pairs: set[tuple[int, int]] | None = None,
-                            batch_id: str = "batch") -> list[tuple[LaggedVariable, float]]:
+                            batch_id: str = "batch",
+                            cache: KernelRidgeCache | None = None,
+                            ) -> list[tuple[LaggedVariable, float]]:
     """Iterative parent pre-selection for one target variable.
 
     Starting from all lagged candidates, condition-set sizes p = 0, 1, ...,
@@ -272,7 +291,8 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
     exceeds pc_alpha. Survivors are re-sorted by |statistic| after each pass.
     Returns the surviving parents with their final statistics, strongest
     first. When `allowed_pairs` is given, cross candidates (i, target)
-    outside it are never considered.
+    outside it are never considered. Targets tested with one `cache` share
+    their kernel-ridge work.
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
@@ -298,7 +318,8 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
             Z = [columns[o] for o in conds]
             seed = _derived_seed(params.seed, batch_id, "pc1", target,
                                  c.var_index, c.lag, p)
-            result = _ci_test(params, columns[c], y, Z, seed)
+            keys = _ci_keys(window_start, c, LaggedVariable(target, 0), conds)
+            result = _ci_test(params, columns[c], y, Z, seed, cache, keys)
             new_stats[c] = result.statistic
             if result.p_value > params.pc_alpha:
                 removed.add(c)
@@ -313,14 +334,16 @@ def mci_tests(batch: TimeSeriesBatch,
               parents_by_target: dict[int, list[tuple[LaggedVariable, float]]],
               params: DiscoveryParams,
               allowed_pairs: set[tuple[int, int]] | None = None,
-              batch_id: str = "batch") -> tuple[np.ndarray, np.ndarray]:
+              batch_id: str = "batch",
+              cache: KernelRidgeCache | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Momentary conditional independence tests for every ordered pair.
 
     The test of X_i at lag tau against X_j conditions on the selected parents
     of X_j (minus the tested link) plus the parents of X_i shifted by tau,
     each side truncated to the max_conditions strongest. Returns (val, pval)
     tensors of shape (n_lags, n_vars, n_vars). When `allowed_pairs` is given,
-    cross pairs (i, j) outside it are skipped (left at val 0 / pval 1).
+    cross pairs (i, j) outside it are skipped (left at val 0 / pval 1). The
+    tests share their kernel-ridge work through `cache`, when one is given.
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
@@ -356,7 +379,8 @@ def mci_tests(batch: TimeSeriesBatch,
                 Z = [_lagged_column(X, c.var_index, c.lag, window_start) for c in conds]
                 x = _lagged_column(X, i, tau, window_start)
                 seed = _derived_seed(params.seed, batch_id, "mci", i, j, tau)
-                jobs.append((params, x, y, Z, seed))
+                keys = _ci_keys(window_start, tested, LaggedVariable(j, 0), conds)
+                jobs.append((params, x, y, Z, seed, cache, keys))
                 cells.append((tau - params.tau_min, i, j))
     for (l, i, j), result in zip(cells, _run_all(_ci_test, jobs, _pooled(params))):
         val[l, i, j] = result.statistic
@@ -397,11 +421,14 @@ def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     if n_vars < 1:
         raise DiscoveryError("batch has no analysis variables")
     allowed_pairs = None if te_filter is None else set(te_filter["kept"])
+    # Each phase gets its own kernel-ridge cache: the two phases use
+    # different row windows, so they could share no entry.
     selected = _run_all(pc1_condition_selection, [(batch, j, params) for j in range(n_vars)],
-                        _pooled(params), allowed_pairs=allowed_pairs, batch_id=batch_id)
+                        _pooled(params), allowed_pairs=allowed_pairs, batch_id=batch_id,
+                        cache=_kernel_cache(params))
     parents = dict(enumerate(selected))
     val, pval = mci_tests(batch, parents, params, allowed_pairs=allowed_pairs,
-                          batch_id=batch_id)
+                          batch_id=batch_id, cache=_kernel_cache(params))
     return _assemble_model(batch, params, val, pval, batch_id, te_filter)
 
 

@@ -32,7 +32,7 @@ from .discovery import (MODEL_TOPIC, CausalModel, PoolWatcher, batch_id_for, dis
 from .postprocess import resolve_postprocessor
 from .sim import SIM_DT, Simulator
 from .state import AgentState, HUMAN_TOPIC, ROBOT_TOPIC
-from .timeseries import read_csv
+from .timeseries import read_csv, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +144,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
         "batches": batch_rows,
         "wall_seconds": round(time_mod.perf_counter() - started, 6),
     }
-    result.manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                                    encoding="utf-8")
+    write_atomic(result.manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return result
 
 

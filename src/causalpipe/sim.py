@@ -222,7 +222,6 @@ class Simulator:
         )
         self.world = WorldState(time=0.0, human=human, robot=robot,
                                 bounds=bounds, rng=rng)
-        self.goal_switches: list[float] = []
 
     def publish_initial(self) -> None:
         """Publish the t=0 states so samplers see both agents immediately."""
@@ -265,7 +264,6 @@ class Simulator:
         goal = h.goal
         if math.hypot(goal[0] - x, goal[1] - y) <= self.sfm.goal_radius:
             goal = sample_goal(w.rng, w.bounds, (x, y), self.min_goal_dist)
-            self.goal_switches.append(w.time + dt)
         return self._human_merger.merge(Pose2D(x, y, theta), Velocity2D(vx, vy, omega),
                                         goal, w.time + dt)
 

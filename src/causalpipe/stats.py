@@ -28,12 +28,19 @@ supplies the feature-selection filter used by F-PCMCI.
 A CI test returns a statistic and a p-value; discovery.py applies the
 significance thresholds.
 
-Everything here is pure given (inputs, seed): no test reads or writes state
-shared with another. discovery.py relies on this to run independent tests
-concurrently on a thread pool. Threads overlap only where numpy releases the
-interpreter lock (argsorts, gathers, cumulative sums, ufunc loops over large
-arrays), which is why work is done in few large array operations rather than
-many small ones: te_significance scores all its surrogate shifts at once.
+Every call here is pure given (inputs, seed): no test reads or writes state
+shared with another. The one exception is scoped to a batch: discovery.py
+gives the CI tests of one phase of one batch a KernelRidgeCache, which builds
+the RBF kernel of each conditioning set once and solves each series once per
+conditioning set. A cached residual is the one a fresh call returns, bit for
+bit, so sharing it changes no result, and the cache goes with the batch.
+discovery.py relies on this to run independent tests concurrently on a thread
+pool. Threads overlap only where numpy releases the interpreter lock
+(argsorts, gathers, cumulative sums, ufunc loops over large arrays, and the
+kernel-ridge solve, which gets a column right-hand side because the 1-D form
+holds the lock), which is why work is done in few large array operations
+rather than many small ones: te_significance scores all its surrogate shifts
+at once.
 """
 
 from __future__ import annotations
@@ -202,21 +209,36 @@ def parcorr_test(x, y, Z=()) -> CITestResult:
 def median_bandwidth(sq: np.ndarray) -> float:
     """Median of nonzero pairwise Euclidean distances, given the (n, n) matrix
     of squared distances; 1.0 on degenerate input."""
-    dist = np.sqrt(sq)
-    upper = dist[np.triu_indices(len(sq), k=1)]
-    positive = upper[upper > 0]
+    upper = sq[np.triu_indices(len(sq), k=1)]
+    positive = np.sqrt(upper[upper > 0])
     if positive.size == 0:
         return 1.0
     return float(np.median(positive))
 
 
-def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams()) -> np.ndarray:
+def rbf_kernel(Z) -> np.ndarray | None:
+    """RBF kernel matrix over the standardised columns of Z that vary, with
+    the median-heuristic bandwidth; None when no column varies."""
+    Zm = _column_matrix(Z)
+    col_std = Zm.std(axis=0)
+    informative = col_std > 0
+    if not informative.any():
+        return None
+    Zs = (Zm[:, informative] - Zm[:, informative].mean(axis=0)) / col_std[informative]
+    sq = ((Zs[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
+    bandwidth = median_bandwidth(sq)
+    return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+
+
+def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(),
+                           kernel: np.ndarray | None = None) -> np.ndarray:
     """Residuals target - f(Z) from an RBF kernel ridge fit.
 
     Conditioning columns are standardized before the median-heuristic
     bandwidth is computed; the target is standardized for the solve and the
     residuals are returned in original units. A singular kernel system
-    escalates the ridge by 10x up to 3 times before giving up.
+    escalates the ridge by 10x up to 3 times before giving up. `kernel` is
+    rbf_kernel(Z), when the caller already has it.
     """
     y = _as_series(target, "target")
     Zm = _column_matrix(Z)
@@ -227,12 +249,8 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
         raise ValueError(f"need n >= 10, got {n}")
     if Zm.shape[0] != n:
         raise ValueError("target and conditioning series lengths differ")
-
-    col_std = Zm.std(axis=0)
-    informative = col_std > 0
-    if not informative.any():
+    if not (Zm.std(axis=0) > 0).any():
         return y - y.mean()
-    Zs = (Zm[:, informative] - Zm[:, informative].mean(axis=0)) / col_std[informative]
 
     y_mean = y.mean()
     y_sd = y.std()
@@ -240,14 +258,15 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
         return np.zeros(n)
     ys = (y - y_mean) / y_sd
 
-    sq = ((Zs[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
-    bandwidth = median_bandwidth(sq)
-    K = np.exp(-sq / (2.0 * bandwidth * bandwidth))
-
+    K = rbf_kernel(Z) if kernel is None else kernel
     ridge = params.ridge
     for attempt in range(4):
+        system = K.copy()
+        system[np.diag_indices(n)] += ridge
         try:
-            coef = np.linalg.solve(K + ridge * np.eye(n), ys)
+            # A column right-hand side: the same bits as a 1-D one, but the
+            # solve releases the interpreter lock.
+            coef = np.linalg.solve(system, ys[:, None])[:, 0]
             break
         except np.linalg.LinAlgError:
             if attempt == 3:
@@ -260,11 +279,47 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
     return (ys - fitted) * y_sd
 
 
+class KernelRidgeCache:
+    """Kernel-ridge work shared by CI tests on the same batch (discovery
+    makes one for each phase of a batch).
+
+    The caller names each series by a key that fixes its values within the
+    batch (discovery uses the row window and the lagged variables). The RBF
+    kernel is built once per conditioning key and each target is solved once
+    per conditioning key; both come from rbf_kernel and
+    kernel_ridge_residuals, so a cached residual is the one a fresh call
+    gives. Residuals are handed out read-only. Two threads may compute the
+    same entry at once; they store equal values, so the race is harmless.
+    Create one per batch and let it go with the batch.
+    """
+
+    def __init__(self, params: KernelRegParams):
+        self.params = params
+        self._kernels: dict = {}
+        self._residuals: dict = {}
+
+    def residuals(self, target_key, target, Z_key, Z) -> np.ndarray:
+        key = (target_key, Z_key)
+        r = self._residuals.get(key)
+        if r is None:
+            if Z_key not in self._kernels:
+                self._kernels[Z_key] = rbf_kernel(Z)
+            r = kernel_ridge_residuals(target, Z, self.params, kernel=self._kernels[Z_key])
+            r.flags.writeable = False
+            self._residuals[key] = r
+        return r
+
+
 def _centered_distance_matrix(x: np.ndarray) -> np.ndarray:
-    d = np.abs(x[:, None] - x[None, :])
+    d = np.subtract.outer(x, x)
+    np.abs(d, out=d)
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+    grand = d.mean()
+    d -= row
+    d -= col
+    d += grand
+    return d
 
 
 def distance_correlation(x, y) -> float:
@@ -276,11 +331,12 @@ def distance_correlation(x, y) -> float:
         raise ValueError(f"need equal lengths >= 4, got {len(x)} and {len(y)}")
     A = _centered_distance_matrix(x)
     B = _centered_distance_matrix(y)
-    dvar_x = float((A * A).mean())
-    dvar_y = float((B * B).mean())
+    product = np.multiply(A, A)
+    dvar_x = float(product.mean())
+    dvar_y = float(np.multiply(B, B, out=product).mean())
     if dvar_x <= 0.0 or dvar_y <= 0.0:
         return 0.0
-    dcov2 = max(float((A * B).mean()), 0.0)
+    dcov2 = max(float(np.multiply(A, B, out=product).mean()), 0.0)
     return float(min(math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y)), 1.0))
 
 
@@ -329,26 +385,65 @@ def _sorted_abs_cross_sums(xs: np.ndarray, W: np.ndarray) -> np.ndarray:
     Wp[:, :n] = W
     Wp[:, n:] = W.max(axis=1, keepdims=True)
     inversions = np.zeros(rows)
+    # Every level reuses these: the merged w and x, a 0/1 mask, the two
+    # suffix sums and a product. Multiplying by the mask writes 0 where
+    # np.where would, up to the sign of a zero, which no sum can show.
+    Wm, Xm, mask, sw, sx, prod = (np.empty((rows, m)) for _ in range(6))
     half = 1
     while half < m:
         shape = (rows, m // (2 * half), 2 * half)
         # Merge each (left, right) pair of sorted blocks. The stable sort keeps
         # ties in position order, so a left entry after a right one has larger w.
-        order = np.argsort(Wp.reshape(shape), axis=-1, kind="stable")
-        # One flat index, block offset plus merged order, gathers both arrays.
+        if half == 1:
+            # a stable argsort of two values is one comparison
+            order = np.empty(shape, dtype=np.intp)
+            w2 = Wp.reshape(shape)
+            np.greater(w2[..., 0], w2[..., 1], out=order[..., 0])
+            np.subtract(1, order[..., 0], out=order[..., 1])
+        else:
+            order = np.argsort(Wp.reshape(shape), axis=-1, kind="stable")
+        # One flat index, block offset plus merged order, gathers both arrays
+        # (mode="clip" lets take write straight into `out`; no index is clipped).
         flat = order + np.arange(0, rows * m, 2 * half).reshape(rows, -1, 1)
-        Wp = Wp.take(flat)
-        X = X.take(flat)
-        right = order >= half
-        left_sums = np.where(right, 0.0, np.stack([Wp, X]))
-        sw, sx = np.cumsum(left_sums[..., ::-1], axis=-1)[..., ::-1]
-        passed = np.abs(order - np.arange(2 * half))
-        pairs = np.where(right, X * sw + Wp * sx, 0.0) - X * Wp * passed
-        inversions += pairs.reshape(rows, m).sum(axis=1)
-        Wp = Wp.reshape(rows, m)
-        X = X.reshape(rows, m)
+        np.take(Wp, flat, out=Wm.reshape(shape), mode="clip")
+        np.take(X, flat, out=Xm.reshape(shape), mode="clip")
+        Wp, Wm, X, Xm = Wm, Wp, Xm, X
+        w3, x3, m3 = Wp.reshape(shape), X.reshape(shape), mask.reshape(shape)
+        sw3, sx3, prod3 = sw.reshape(shape), sx.reshape(shape), prod.reshape(shape)
+        np.less(order, half, out=m3)
+        np.multiply(w3, m3, out=sw3)
+        np.multiply(x3, m3, out=sx3)
+        if half <= 4:
+            # Suffix sums of short blocks column by column: the additions of
+            # a reversed cumsum, in its order, without its per-block overhead.
+            for k in range(2 * half - 2, -1, -1):
+                sw3[..., k] += sw3[..., k + 1]
+                sx3[..., k] += sx3[..., k + 1]
+        else:
+            np.cumsum(sw3[..., ::-1], axis=-1, out=sw3[..., ::-1])
+            np.cumsum(sx3[..., ::-1], axis=-1, out=sx3[..., ::-1])
+        # A pair term is [right entry] (x sw + w sx) - x w passed, where the
+        # mask is flipped to mark right entries and passed = |order - index|.
+        np.multiply(x3, sw3, out=sw3)
+        np.multiply(w3, sx3, out=sx3)
+        np.add(sw3, sx3, out=sw3)
+        np.subtract(1.0, m3, out=m3)
+        np.multiply(sw3, m3, out=sw3)
+        order -= np.arange(2 * half)
+        np.abs(order, out=order)
+        np.multiply(x3, w3, out=prod3)
+        np.multiply(prod3, order, out=prod3)
+        np.subtract(sw3, prod3, out=sw3)
+        inversions += sw.sum(axis=1)
         half *= 2
     return n * (W * xs).sum(axis=1) - xs.sum() * W.sum(axis=1) + 2.0 * inversions
+
+
+def _permutation_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k draws of rng.permutation(n), one a row, in one call: shuffling each
+    row of a tiled arange in place takes the same draws from the generator."""
+    rows = np.tile(np.arange(n), (k, 1))
+    return rng.permuted(rows, axis=1, out=rows)
 
 
 def _exact_exceedances(x: np.ndarray, y: np.ndarray, perms) -> int:
@@ -405,8 +500,11 @@ def dcor_perm_test(x, y, params: KernelRegParams = KernelRegParams(), seed: int 
     exceed = 0
     near = []
     for start in range(0, rows, _PERM_CHUNK):
-        perms = np.stack([rng.permutation(n) if k else np.arange(n)
-                          for k in range(start, min(start + _PERM_CHUNK, rows))])
+        count = min(_PERM_CHUNK, rows - start)
+        if start == 0:
+            perms = np.vstack([np.arange(n), _permutation_rows(rng, count - 1, n)])
+        else:
+            perms = _permutation_rows(rng, count, n)
         q = perms[:, order]
         s1 = 2.0 * _sorted_abs_cross_sums(xs, yc[q]) / n**2
         s3 = (rb[q] * ra_sorted).sum(axis=1) / n**3
@@ -425,10 +523,13 @@ def dcor_perm_test(x, y, params: KernelRegParams = KernelRegParams(), seed: int 
 
 
 def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
-                     seed: int = 0) -> CITestResult:
+                     seed: int = 0, cache: KernelRidgeCache | None = None,
+                     keys: tuple | None = None) -> CITestResult:
     """Nonlinear CI test: kernel-ridge residuals + distance correlation.
 
     With Z empty this reduces to the permutation dcor test on centered series.
+    With a `cache` (built with the same params), `keys` = (x key, y key, Z key)
+    name the series within its batch, and the residuals come from the cache.
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
@@ -437,7 +538,11 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
     if x.std() == 0.0 or y.std() == 0.0:
         return INDEPENDENT
     Z = tuple(Z)
-    if Z:
+    if Z and cache is not None:
+        x_key, y_key, Z_key = keys
+        rx = cache.residuals(x_key, x, Z_key, Z)
+        ry = cache.residuals(y_key, y, Z_key, Z)
+    elif Z:
         rx = kernel_ridge_residuals(x, Z, params)
         ry = kernel_ridge_residuals(y, Z, params)
     else:

@@ -41,6 +41,25 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
     assert list((out / "pool").glob("*.csv")) == []
 
 
+def test_failed_manifest_replace_keeps_old_manifest(tmp_path, monkeypatch):
+    # a crash mid-write must never leave a truncated manifest behind
+    out = tmp_path / "out"
+    assert cli.main(fast_run_args(out)) == 0
+    manifest = out / "manifest.json"
+    before = manifest.read_bytes()
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError("injected")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert cli.main(fast_run_args(out)) == cli.EXIT_RUNTIME
+    assert manifest.read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp-")]
+
+
 def test_python_m_cli_runs_the_pipeline(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

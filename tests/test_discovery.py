@@ -1,16 +1,18 @@
 import dataclasses
+import gc
 import json
 import logging
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalpipe import discovery
+from causalpipe import discovery, stats
 from causalpipe.bus import MessageBus
 from causalpipe.discovery import (MODEL_TOPIC, BatchTooShortError, CausalModel,
                                   DiscoveryParams, LaggedVariable, PoolWatcher,
@@ -351,6 +353,77 @@ def test_kridge_model_does_not_depend_on_pool_size(method, monkeypatch):
             models.append(model_to_dict(discover(batch, params, batch_id="pool")))
     assert models[0] == models[1]
     assert models[0]["params"]["method"] == method
+
+
+KRIDGE_FAST = DiscoveryParams(ci_test="kridge_dcor", kridge=KernelRegParams(permutations=50))
+
+
+def kridge_batch(seed):
+    return scm_batch([Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6, "tanh")], n_vars=3,
+                     seed=seed, n_samples=200)[0]
+
+
+def test_each_kernel_is_built_once_per_batch(monkeypatch):
+    builds, solves, requests = [], [], []
+    build, solve = stats.rbf_kernel, stats.kernel_ridge_residuals
+    monkeypatch.setattr(stats, "rbf_kernel", lambda Z: builds.append(1) or build(Z))
+    monkeypatch.setattr(stats, "kernel_ridge_residuals",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    lookup = stats.KernelRidgeCache.residuals
+
+    def recording(cache, target_key, target, Z_key, Z):
+        requests.append((target_key, Z_key))
+        return lookup(cache, target_key, target, Z_key, Z)
+
+    monkeypatch.setattr(stats.KernelRidgeCache, "residuals", recording)
+    # one worker: two workers may both build a kernel they need at once
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(discovery, "_pool", pool)
+        discover(kridge_batch(4), KRIDGE_FAST, batch_id="count")
+    # Z keys are (row window, ordered conditioning variables)
+    assert len(builds) == len({Z_key for _, Z_key in requests})
+    assert len(solves) == len(set(requests))
+    assert len(builds) < len(solves) < len(requests)  # both are reused on this batch
+
+
+def test_discover_leaves_no_per_batch_state(monkeypatch):
+    caches = []
+    init = stats.KernelRidgeCache.__init__
+
+    def tracked(cache, params):
+        init(cache, params)
+        caches.append(weakref.ref(cache))
+
+    monkeypatch.setattr(stats.KernelRidgeCache, "__init__", tracked)
+    batch = kridge_batch(4)
+    discover(batch, KRIDGE_FAST, batch_id="warm")  # the shared pool exists from here on
+    modules = {module: dict(vars(module)) for module in (stats, discovery)}
+    discover(batch, KRIDGE_FAST, batch_id="state")
+    gc.collect()
+    assert caches and all(ref() is None for ref in caches)
+    for module, before in modules.items():
+        after = vars(module)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items()), module.__name__
+
+
+def test_batches_analysed_concurrently_give_their_sequential_models():
+    # both batches have the same variables and windows, so any state shared
+    # between them would mix their kernels
+    batches = [kridge_batch(seed) for seed in (4, 5)]
+    sequential = [model_to_dict(discover(b, KRIDGE_FAST, batch_id=str(i)))
+                  for i, b in enumerate(batches)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as callers:
+            futures = [callers.submit(discover, b, KRIDGE_FAST, batch_id=str(i))
+                       for i, b in enumerate(batches)]
+            concurrent = [model_to_dict(f.result(timeout=300)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+    assert sequential[0] != sequential[1]
 
 
 # --- export -------------------------------------------------------------------

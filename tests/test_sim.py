@@ -160,12 +160,19 @@ def test_different_seeds_differ():
 def test_goal_reached_triggers_resample():
     sim = Simulator(seed=5)
     goals = {sim.world.human.goal}
+    switches = 0
     for _ in range(round(120.0 / SIM_DT)):
+        old_goal = sim.world.human.goal
         sim.step(SIM_DT)
-        goals.add(sim.world.human.goal)
+        human = sim.world.human
+        goals.add(human.goal)
+        if human.goal != old_goal:
+            # at every switch instant the human stood within goal_radius of the old goal
+            switches += 1
+            assert math.hypot(old_goal[0] - human.pose.x,
+                              old_goal[1] - human.pose.y) <= sim.sfm.goal_radius
     assert len(goals) >= 3
-    # at every switch instant the human stood within goal_radius of the old goal
-    assert sim.goal_switches, "no goal was ever reached"
+    assert switches == len(goals) - 1
 
 
 def test_memory_stays_bounded_over_a_long_run():

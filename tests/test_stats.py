@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from causalpipe.stats import (CITestResult, KernelRegParams, TEParams,
-                              _sorted_abs_cross_sums, dcor_perm_test,
+from causalpipe.stats import (CITestResult, KernelRegParams, KernelRidgeCache, TEParams,
+                              _permutation_rows, _sorted_abs_cross_sums, dcor_perm_test,
                               distance_correlation, kernel_ridge_residuals,
                               kridge_dcor_test, parcorr_test, pearson,
                               residualize_linear, te_significance,
@@ -38,16 +38,28 @@ def dcor_double_loop(x, y):
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvar_x * dvar_y))
 
 
+def centred_distance_reference(v):
+    """Double-centred distance matrix, each step into a new array."""
+    d = np.abs(v[:, None] - v[None, :])
+    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+
+def distance_correlation_reference(x, y):
+    """The O(n^2) distance correlation before it reused its n x n buffers."""
+    A, B = centred_distance_reference(x), centred_distance_reference(y)
+    dvar_x = float((A * A).mean())
+    dvar_y = float((B * B).mean())
+    if dvar_x <= 0.0 or dvar_y <= 0.0:
+        return 0.0
+    dcov2 = max(float((A * B).mean()), 0.0)
+    return float(min(math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y)), 1.0))
+
+
 def dcor_perm_reference(x, y, params=KernelRegParams(), seed=0):
     """The O(n^2)-per-permutation form: permute the centred distance matrix."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-
-    def centred(v):
-        d = np.abs(v[:, None] - v[None, :])
-        return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
-
-    A, B = centred(x), centred(y)
+    A, B = centred_distance_reference(x), centred_distance_reference(y)
     dvar_x = float((A * A).mean())
     dvar_y = float((B * B).mean())
     if dvar_x <= 0.0 or dvar_y <= 0.0:
@@ -108,6 +120,8 @@ def te_significance_reference(src, dst, params=TEParams(), seed=0):
 
 # Sizes around powers of two, so the merge's padding and its last block vary.
 PERM_SIZES = (4, 5, 9, 31, 32, 33, 100, 257, 500)
+# Sizes around the 32-row chunks and the powers of two the merge pads to.
+EQUIV_SIZES = (4, 5, 9, 31, 32, 33, 100, 257, 499, 500, 512, 513)
 
 
 # --- pearson ------------------------------------------------------------------
@@ -290,7 +304,35 @@ def test_kernel_ridge_constant_conditioning():
     np.testing.assert_allclose(res, target - target.mean())
 
 
+def test_cached_residual_equals_a_fresh_call_and_is_read_only():
+    rng = np.random.default_rng(13)
+    z1, z2 = rng.normal(size=(2, 200))
+    target = np.sin(z1) + z2 ** 2 + 0.1 * rng.normal(size=200)
+    cache = KernelRidgeCache(FAST_KRIDGE)
+    # column order changes the rounding of the kernel, so (z1, z2) and
+    # (z2, z1) are separate keys
+    for Z_key, Z in (("z1 z2", [z1, z2]), ("z2 z1", [z2, z1]), ("constant", [np.ones(200)])):
+        cached = cache.residuals("target", target, Z_key, Z)
+        assert cached.tobytes() == kernel_ridge_residuals(target, Z, FAST_KRIDGE).tobytes()
+        assert cache.residuals("target", target, Z_key, Z) is cached
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    x = np.cos(z2) + rng.normal(size=200)
+    assert kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3, cache=cache,
+                            keys=("x", "target", "z1 z2")) == \
+        kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3)
+
+
 # --- distance correlation --------------------------------------------------------
+
+@pytest.mark.parametrize("n", EQUIV_SIZES)
+def test_distance_correlation_matches_reference_exactly(n):
+    rng = np.random.default_rng(3 * n)
+    x = rng.normal(size=n)
+    for y in (rng.normal(size=n), x ** 2, np.round(rng.normal(size=n), 1), x,
+              np.full(n, 1.5)):
+        assert distance_correlation(x, y) == distance_correlation_reference(x, y)
+
 
 def test_dcor_identity_is_one():
     x = np.random.default_rng(0).normal(size=60)
@@ -417,6 +459,59 @@ def test_sorted_abs_cross_sums_matches_double_loop(n):
     for row, w in zip(got, W):
         assert row == pytest.approx(_abs_cross_sum_double_loop(xs.tolist(), w.tolist()),
                                     rel=1e-12)
+
+
+def sorted_abs_cross_sums_reference(xs, W):
+    """The bottom-up merge before it reused its work buffers: the same
+    operations in the same order, each into a new array."""
+    rows, n = W.shape
+    m = 1 << max(n - 1, 1).bit_length()
+    X = np.zeros((rows, m))
+    X[:, :n] = xs
+    Wp = np.empty((rows, m))
+    Wp[:, :n] = W
+    Wp[:, n:] = W.max(axis=1, keepdims=True)
+    inversions = np.zeros(rows)
+    half = 1
+    while half < m:
+        shape = (rows, m // (2 * half), 2 * half)
+        order = np.argsort(Wp.reshape(shape), axis=-1, kind="stable")
+        flat = order + np.arange(0, rows * m, 2 * half).reshape(rows, -1, 1)
+        Wp = Wp.take(flat)
+        X = X.take(flat)
+        right = order >= half
+        left_sums = np.where(right, 0.0, np.stack([Wp, X]))
+        sw, sx = np.cumsum(left_sums[..., ::-1], axis=-1)[..., ::-1]
+        passed = np.abs(order - np.arange(2 * half))
+        pairs = np.where(right, X * sw + Wp * sx, 0.0) - X * Wp * passed
+        inversions += pairs.reshape(rows, m).sum(axis=1)
+        Wp = Wp.reshape(rows, m)
+        X = X.reshape(rows, m)
+        half *= 2
+    return n * (W * xs).sum(axis=1) - xs.sum() * W.sum(axis=1) + 2.0 * inversions
+
+
+@pytest.mark.parametrize("n", EQUIV_SIZES)
+def test_sorted_abs_cross_sums_matches_reference_exactly(n):
+    rng = np.random.default_rng(7 * n)
+    half_constant = rng.normal(size=(8, n))
+    half_constant[:, ::2] = 0.25
+    for xs in (np.sort(rng.normal(size=n)), np.sort(np.round(rng.normal(size=n), 1))):
+        for W in (rng.normal(size=(32, n)),              # random rows
+                  np.round(rng.normal(size=(32, n)), 1),  # 1-decimal ties
+                  half_constant,                          # one value in half the places
+                  rng.normal(size=(1, n))):               # a single row
+            assert np.array_equal(_sorted_abs_cross_sums(xs, W),
+                                  sorted_abs_cross_sums_reference(xs, W))
+
+
+@pytest.mark.parametrize("n", (4, 33, 500))
+def test_permutation_rows_take_the_per_row_draws(n):
+    for k in (1, 31, 32):
+        drawn, looped = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        assert np.array_equal(_permutation_rows(drawn, k, n),
+                              np.stack([looped.permutation(n) for _ in range(k)]))
+        assert drawn.random() == looped.random()  # both generators advanced alike
 
 
 def test_sorted_abs_cross_sums_beyond_int16_rows():
