@@ -248,11 +248,6 @@ def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariab
             for tau in range(params.tau_min, params.tau_max + 1)]
 
 
-def _kernel_cache(params: DiscoveryParams) -> KernelRidgeCache | None:
-    """A fresh cache for the kernel-ridge work of one phase of one batch."""
-    return KernelRidgeCache(params.kridge) if params.ci_test == "kridge_dcor" else None
-
-
 def _ci_keys(window_start: int, x: LaggedVariable, y: LaggedVariable,
              conds: Sequence[LaggedVariable]) -> tuple:
     """Cache keys of one test's x, y and Z: the row window fixes which rows a
@@ -425,10 +420,10 @@ def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     # different row windows, so they could share no entry.
     selected = _run_all(pc1_condition_selection, [(batch, j, params) for j in range(n_vars)],
                         _pooled(params), allowed_pairs=allowed_pairs, batch_id=batch_id,
-                        cache=_kernel_cache(params))
+                        cache=KernelRidgeCache(params.kridge))
     parents = dict(enumerate(selected))
     val, pval = mci_tests(batch, parents, params, allowed_pairs=allowed_pairs,
-                          batch_id=batch_id, cache=_kernel_cache(params))
+                          batch_id=batch_id, cache=KernelRidgeCache(params.kridge))
     return _assemble_model(batch, params, val, pval, batch_id, te_filter)
 
 

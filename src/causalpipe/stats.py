@@ -529,7 +529,8 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
 
     With Z empty this reduces to the permutation dcor test on centered series.
     With a `cache` (built with the same params), `keys` = (x key, y key, Z key)
-    name the series within its batch, and the residuals come from the cache.
+    name the series within its batch, and the residuals are shared with the
+    other tests that use the cache; without one, x and y still share Z's kernel.
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
@@ -538,13 +539,12 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
     if x.std() == 0.0 or y.std() == 0.0:
         return INDEPENDENT
     Z = tuple(Z)
-    if Z and cache is not None:
+    if Z:
+        if cache is None:
+            cache, keys = KernelRidgeCache(params), ("x", "y", "Z")
         x_key, y_key, Z_key = keys
         rx = cache.residuals(x_key, x, Z_key, Z)
         ry = cache.residuals(y_key, y, Z_key, Z)
-    elif Z:
-        rx = kernel_ridge_residuals(x, Z, params)
-        ry = kernel_ridge_residuals(y, Z, params)
     else:
         rx = x - x.mean()
         ry = y - y.mean()
