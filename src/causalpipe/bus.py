@@ -47,6 +47,7 @@ class Subscription:
 
     Holds at most `capacity` envelopes; when full, the oldest queued message
     is dropped to make room for the newest, and `dropped` counts it.
+    MessageBus.publish appends under the subscription's lock.
     """
 
     def __init__(self, topic: "Topic", capacity: int):
@@ -57,12 +58,6 @@ class Subscription:
         self._queue: deque[Envelope] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.dropped = 0
-
-    def _push(self, envelope: Envelope) -> None:
-        with self._lock:
-            if len(self._queue) == self.capacity:
-                self.dropped += 1
-            self._queue.append(envelope)
 
     def drain(self) -> list[Envelope]:
         """Return all queued envelopes in publish order and empty the queue."""
@@ -121,7 +116,9 @@ class MessageBus:
         Publish times must be non-decreasing per topic (single simulated
         clock); a regression indicates a wiring bug and raises.
         """
-        t = self.topic(topic)
+        t = self._topics.get(topic)
+        if t is None:
+            t = self.topic(topic)  # raises UnknownTopicError
         if not isinstance(payload, t.kind):
             raise MessageKindError(
                 f"topic {t.name!r} carries {t.kind.__name__}, got {type(payload).__name__}"
@@ -133,9 +130,13 @@ class MessageBus:
                     f"{time} < {t._last_publish_time}"
                 )
             t._last_publish_time = time
-            envelope = Envelope(publish_time=time, payload=payload)
+            envelope = Envelope(time, payload)
             for sub in t._subscriptions:
-                sub._push(envelope)
+                # the subscription's push, inlined because it runs per message
+                with sub._lock:
+                    if len(sub._queue) == sub.capacity:
+                        sub.dropped += 1
+                    sub._queue.append(envelope)
 
     def subscribe(self, topic: str, capacity: int = DEFAULT_CAPACITY) -> Subscription:
         """Attach a new bounded queue to `topic`; only future traffic is seen."""

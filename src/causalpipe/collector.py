@@ -106,14 +106,12 @@ class Collector:
         return self._human_sub.dropped + self._robot_sub.dropped
 
     def _refresh_held(self) -> None:
-        for env in self._human_sub.drain():
-            self._held_human = env.payload
-        for env in self._robot_sub.drain():
-            self._held_robot = env.payload
-
-    def _next_grid_time(self) -> float:
-        assert self._t0 is not None
-        return self._t0 + self._grid_index * self.config.dt
+        human = self._human_sub.drain()
+        if human:
+            self._held_human = human[-1].payload
+        robot = self._robot_sub.drain()
+        if robot:
+            self._held_robot = robot[-1].payload
 
     def tick(self, now: float) -> RawSample | None:
         """Advance the sampling clock; returns the sample taken, if any.
@@ -125,9 +123,9 @@ class Collector:
         self._refresh_held()
         if self._t0 is None:
             self._t0 = now
+        t0, dt = self._t0, self.config.dt
         taken: RawSample | None = None
-        while now + _GRID_EPS >= self._next_grid_time():
-            t_grid = self._next_grid_time()
+        while now + _GRID_EPS >= (t_grid := t0 + self._grid_index * dt):
             self._grid_index += 1
             if self._held_human is None or self._held_robot is None:
                 missing = [name for name, held in

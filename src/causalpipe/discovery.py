@@ -26,6 +26,8 @@ does not depend on the number of workers. Workers never submit to the pool,
 so it cannot deadlock. With kridge_dcor, the tests of each phase of a batch
 share one stats.KernelRidgeCache, keyed by row window and lagged variables,
 so a kernel or a kernel-ridge fit needed by several tests is computed once.
+A worker that waits for a cache entry waits for the worker computing it,
+never for a queued task, so sharing cannot deadlock either.
 
 A PoolWatcher reproduces the batch worker: it polls a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and

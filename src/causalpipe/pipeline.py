@@ -6,7 +6,8 @@ blocks collection of the next. Every completed batch yields a JSON and a DOT
 model file in the output directory, and the run ends with a manifest
 (config echo, seed, per-batch timings, edge lists, artifact checksums, and
 `bus_dropped`: the state messages the collector's bounded subscriptions
-dropped).
+dropped). `wall_seconds` is the whole run; `generator_seconds` is its
+simulate-and-collect loop, without the final drain of the pool.
 
 A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
@@ -124,6 +125,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
         for k in range(1, steps + 1):
             sim.step(SIM_DT)
             tick(k * SIM_DT)
+        generator_seconds = time_mod.perf_counter() - started
     finally:
         watcher.stop()
         if drain_pool:
@@ -142,6 +144,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
         "models_published": watcher.published,
         "quarantined": watcher.quarantined,
         "batches": batch_rows,
+        "generator_seconds": round(generator_seconds, 6),
         "wall_seconds": round(time_mod.perf_counter() - started, 6),
     }
     write_atomic(result.manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

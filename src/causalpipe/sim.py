@@ -116,8 +116,9 @@ class GoalSamplingError(RuntimeError):
     """Could not place a goal satisfying the minimum-distance constraint."""
 
 
-def goal_attraction_force(agent: AgentState, p: SFMParams) -> np.ndarray:
-    """Relaxation toward the goal with speed tapering near it.
+def goal_attraction_force(agent: AgentState, p: SFMParams) -> tuple[float, float]:
+    """Relaxation toward the goal with speed tapering near it, as a float
+    tuple (fx, fy).
 
     F = (v_des * e_goal - v) / relaxation_time where v_des ramps linearly
     from 0 at the goal to desired_speed at slowdown_radius. Exactly at the
@@ -131,14 +132,14 @@ def goal_attraction_force(agent: AgentState, p: SFMParams) -> np.ndarray:
         ex, ey = gx / d_goal, gy / d_goal
     else:
         v_des, ex, ey = 0.0, 0.0, 0.0
-    return np.array([
-        (v_des * ex - agent.velocity.vx) / p.relaxation_time,
-        (v_des * ey - agent.velocity.vy) / p.relaxation_time,
-    ])
+    return ((v_des * ex - agent.velocity.vx) / p.relaxation_time,
+            (v_des * ey - agent.velocity.vy) / p.relaxation_time)
 
 
-def agent_repulsion_force(human: AgentState, robot: AgentState, p: SFMParams) -> np.ndarray:
-    """Exponential repulsion pushing the human away from the robot.
+def agent_repulsion_force(human: AgentState, robot: AgentState,
+                          p: SFMParams) -> tuple[float, float]:
+    """Exponential repulsion pushing the human away from the robot, as a
+    float tuple (fx, fy).
 
     F = A * exp((R - d) / B) * n with d the center distance, R the summed
     body radii plus the clearance margin, and n the unit vector from robot
@@ -149,7 +150,7 @@ def agent_repulsion_force(human: AgentState, robot: AgentState, p: SFMParams) ->
     d = max(math.hypot(nx, ny), 1e-6)
     R = human.body_radius + robot.body_radius + p.clearance_margin
     magnitude = p.repulsion_strength * math.exp((R - d) / p.repulsion_range)
-    return np.array([magnitude * nx / d, magnitude * ny / d])
+    return (magnitude * nx / d, magnitude * ny / d)
 
 
 def sample_goal(rng: np.random.Generator, bounds: Bounds,
@@ -235,25 +236,34 @@ class Simulator:
     def _step_human(self, dt: float) -> AgentState:
         w = self.world
         h = w.human
-        if self.sfm.pause_rate > 0 and w.time >= self._paused_until:
-            if w.rng.uniform() < self.sfm.pause_rate * dt:
+        sfm = self.sfm
+        if sfm.pause_rate > 0 and w.time >= self._paused_until:
+            # random() is uniform() on [0, 1): the same draw, without its
+            # bounds handling
+            if w.rng.random() < sfm.pause_rate * dt:
                 # log-uniform halts: frequent brief stops, occasional long ones
-                duration = math.exp(w.rng.uniform(math.log(self.sfm.pause_min),
-                                                  math.log(self.sfm.pause_max)))
+                duration = math.exp(w.rng.uniform(math.log(sfm.pause_min),
+                                                  math.log(sfm.pause_max)))
                 self._paused_until = w.time + duration
+        vx, vy = h.velocity.vx, h.velocity.vy
         if w.time < self._paused_until:
             # halted walker: brake toward zero instead of chasing the goal
-            attraction = np.array([-h.velocity.vx, -h.velocity.vy]) / self.sfm.relaxation_time
+            ax = -vx / sfm.relaxation_time
+            ay = -vy / sfm.relaxation_time
         else:
-            attraction = goal_attraction_force(h, self.sfm)
-        force = attraction + agent_repulsion_force(h, w.robot, self.sfm)
-        if self.sfm.noise_accel > 0:
-            force = force + self.sfm.noise_accel * w.rng.standard_normal(2)
-        vx = h.velocity.vx + force[0] * dt
-        vy = h.velocity.vy + force[1] * dt
+            ax, ay = goal_attraction_force(h, sfm)
+        rx, ry = agent_repulsion_force(h, w.robot, sfm)
+        fx = ax + rx
+        fy = ay + ry
+        if sfm.noise_accel > 0:
+            nx, ny = w.rng.standard_normal(2).tolist()
+            fx = fx + sfm.noise_accel * nx
+            fy = fy + sfm.noise_accel * ny
+        vx = vx + fx * dt
+        vy = vy + fy * dt
         speed = math.hypot(vx, vy)
-        if speed > self.sfm.desired_speed:
-            scale = self.sfm.desired_speed / speed
+        if speed > sfm.desired_speed:
+            scale = sfm.desired_speed / speed
             vx *= scale
             vy *= scale
         x = h.pose.x + vx * dt
@@ -262,7 +272,7 @@ class Simulator:
         theta = math.atan2(vy, vx) if math.hypot(vx, vy) > 1e-6 else h.pose.theta
         omega = normalize_angle(theta - h.pose.theta) / dt
         goal = h.goal
-        if math.hypot(goal[0] - x, goal[1] - y) <= self.sfm.goal_radius:
+        if math.hypot(goal[0] - x, goal[1] - y) <= sfm.goal_radius:
             goal = sample_goal(w.rng, w.bounds, (x, y), self.min_goal_dist)
         return self._human_merger.merge(Pose2D(x, y, theta), Velocity2D(vx, vy, omega),
                                         goal, w.time + dt)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .bus import MessageBus
 
@@ -21,6 +22,7 @@ class ValidationError(ValueError):
 
 
 def _require_finite(**fields: float) -> None:
+    """Raise naming the first non-finite field (the messages' slow path)."""
     for name, value in fields.items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -43,7 +45,8 @@ class Pose2D:
     theta: float
 
     def __post_init__(self) -> None:
-        _require_finite(x=self.x, y=self.y, theta=self.theta)
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.theta)):
+            _require_finite(x=self.x, y=self.y, theta=self.theta)
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
@@ -54,7 +57,8 @@ class Velocity2D:
     omega: float
 
     def __post_init__(self) -> None:
-        _require_finite(vx=self.vx, vy=self.vy, omega=self.omega)
+        if not (isfinite(self.vx) and isfinite(self.vy) and isfinite(self.omega)):
+            _require_finite(vx=self.vx, vy=self.vy, omega=self.omega)
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,16 @@ class AgentState:
     body_radius: float
 
     def __post_init__(self) -> None:
-        _require_finite(stamp=self.stamp, goal_x=self.goal[0], goal_y=self.goal[1],
-                        body_radius=self.body_radius)
+        goal = self.goal
+        if not (isfinite(self.stamp) and isfinite(goal[0]) and isfinite(goal[1])
+                and isfinite(self.body_radius)):
+            _require_finite(stamp=self.stamp, goal_x=goal[0], goal_y=goal[1],
+                            body_radius=self.body_radius)
         if self.stamp < 0:
             raise ValidationError(f"stamp must be >= 0, got {self.stamp}")
         if self.body_radius <= 0:
             raise ValidationError(f"body_radius must be > 0, got {self.body_radius}")
-        object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
+        object.__setattr__(self, "goal", (float(goal[0]), float(goal[1])))
 
     @property
     def position(self) -> tuple[float, float]:
@@ -121,7 +128,7 @@ class StateMerger:
             stamp=stamp,
             pose=pose,
             velocity=velocity,
-            goal=(goal[0], goal[1]),
+            goal=goal,
             body_radius=self._body_radius,
         )
         self._last_stamp = stamp

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,26 +290,46 @@ class KernelRidgeCache:
     kernel is built once per conditioning key and each target is solved once
     per conditioning key; both come from rbf_kernel and
     kernel_ridge_residuals, so a cached residual is the one a fresh call
-    gives. Residuals are handed out read-only. Two threads may compute the
-    same entry at once; they store equal values, so the race is harmless.
+    gives. Residuals are handed out read-only. Each entry is computed exactly
+    once: the first thread to ask computes it, and threads asking for the
+    same key meanwhile wait for its result. The lock guards only the tables,
+    so solves for different keys run concurrently. A failed computation is
+    raised to its waiters and not kept, so a later request tries again.
     Create one per batch and let it go with the batch.
     """
 
     def __init__(self, params: KernelRegParams):
         self.params = params
+        self._lock = threading.Lock()
         self._kernels: dict = {}
         self._residuals: dict = {}
 
+    def _once(self, table: dict, key, compute):
+        with self._lock:
+            future = table.get(key)
+            owner = future is None
+            if owner:
+                future = table[key] = Future()
+        if not owner:
+            return future.result()
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                del table[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(value)
+        return value
+
     def residuals(self, target_key, target, Z_key, Z) -> np.ndarray:
-        key = (target_key, Z_key)
-        r = self._residuals.get(key)
-        if r is None:
-            if Z_key not in self._kernels:
-                self._kernels[Z_key] = rbf_kernel(Z)
-            r = kernel_ridge_residuals(target, Z, self.params, kernel=self._kernels[Z_key])
+        def solve() -> np.ndarray:
+            kernel = self._once(self._kernels, Z_key, lambda: rbf_kernel(Z))
+            r = kernel_ridge_residuals(target, Z, self.params, kernel=kernel)
             r.flags.writeable = False
-            self._residuals[key] = r
-        return r
+            return r
+
+        return self._once(self._residuals, (target_key, Z_key), solve)
 
 
 def _centered_distance_matrix(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ is carried for traceability and dropped before causal analysis.
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -86,8 +87,8 @@ def write_atomic(path: str | Path, text: str) -> None:
 def write_csv(batch: TimeSeriesBatch, path: str | Path) -> None:
     """Write a batch atomically (see write_atomic)."""
     lines = [",".join(batch.variable_names)]
-    for row in batch.rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in batch.rows.tolist():
+        lines.append(",".join(map(repr, row)))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -119,7 +120,7 @@ def read_csv(path: str | Path) -> TimeSeriesBatch:
                 raise CsvFormatError(
                     f"{path.name}: line {lineno}: non-numeric cell {cell.strip()!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise CsvFormatError(
                     f"{path.name}: line {lineno}: non-finite cell {cell.strip()!r}"
                 )

@@ -37,6 +37,10 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
     assert len(row["sha256_json"]) == 64
     for batch in manifest["batches"]:  # CSV landing -> model pair written
         assert 0 <= batch["discovery_seconds"] <= manifest["wall_seconds"]
+    # the simulate-and-collect loop is timed apart from the final drain, and
+    # only in the manifest
+    assert 0 < manifest["generator_seconds"] <= manifest["wall_seconds"]
+    assert "generator_seconds" not in (out / "model_00000.json").read_text()
     # pool drained on shutdown
     assert list((out / "pool").glob("*.csv")) == []
 

@@ -1,15 +1,18 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
 from causalpipe.sim import (DEFAULT_BOUNDS, Bounds, GoalSamplingError, RobotPath,
-                            SFMParams, SIM_DT, Simulator, agent_repulsion_force,
-                            goal_attraction_force, sample_goal)
-from causalpipe.state import AgentState, HUMAN_TOPIC, Pose2D, ROBOT_TOPIC, Velocity2D
+                            SFMParams, SIM_DT, Simulator, _clamp_to_bounds,
+                            agent_repulsion_force, goal_attraction_force, sample_goal)
+from causalpipe.state import (AgentState, HUMAN_TOPIC, Pose2D, ROBOT_TOPIC, Velocity2D,
+                              normalize_angle)
 from causalpipe.stats import parcorr_test
 
 QUIET = SFMParams(noise_accel=0.0, pause_rate=0.0)
@@ -71,6 +74,121 @@ def test_repulsion_negligible_far_away():
     r = agent(x=R + 10 * p.repulsion_range, agent_id="robot")
     force = agent_repulsion_force(h, r, p)
     assert np.linalg.norm(force) < p.repulsion_strength * math.exp(-10) * 1.0001
+
+
+# --- the human step against its numpy-vector form ---------------------------------
+
+def goal_attraction_reference(agent, p):
+    gx = agent.goal[0] - agent.pose.x
+    gy = agent.goal[1] - agent.pose.y
+    d_goal = math.hypot(gx, gy)
+    if d_goal > 0:
+        v_des = p.desired_speed * min(1.0, d_goal / p.slowdown_radius)
+        ex, ey = gx / d_goal, gy / d_goal
+    else:
+        v_des, ex, ey = 0.0, 0.0, 0.0
+    return np.array([
+        (v_des * ex - agent.velocity.vx) / p.relaxation_time,
+        (v_des * ey - agent.velocity.vy) / p.relaxation_time,
+    ])
+
+
+def agent_repulsion_reference(human, robot, p):
+    nx = human.pose.x - robot.pose.x
+    ny = human.pose.y - robot.pose.y
+    d = max(math.hypot(nx, ny), 1e-6)
+    R = human.body_radius + robot.body_radius + p.clearance_margin
+    magnitude = p.repulsion_strength * math.exp((R - d) / p.repulsion_range)
+    return np.array([magnitude * nx / d, magnitude * ny / d])
+
+
+def human_step_reference(sim, rng, dt):
+    """The human's step computed on numpy 2-vectors and np.float64 scalars,
+    drawing the pause from rng.uniform(); returns the new pose, velocity and
+    goal and the end of the current halt. Simulator._step_human does the same
+    operations in the same order on Python floats."""
+    w, sfm = sim.world, sim.sfm
+    h = w.human
+    paused_until = sim._paused_until
+    if sfm.pause_rate > 0 and w.time >= paused_until:
+        if rng.uniform() < sfm.pause_rate * dt:
+            duration = math.exp(rng.uniform(math.log(sfm.pause_min), math.log(sfm.pause_max)))
+            paused_until = w.time + duration
+    if w.time < paused_until:
+        attraction = np.array([-h.velocity.vx, -h.velocity.vy]) / sfm.relaxation_time
+    else:
+        attraction = goal_attraction_reference(h, sfm)
+    force = attraction + agent_repulsion_reference(h, w.robot, sfm)
+    if sfm.noise_accel > 0:
+        force = force + sfm.noise_accel * rng.standard_normal(2)
+    vx = h.velocity.vx + force[0] * dt
+    vy = h.velocity.vy + force[1] * dt
+    speed = math.hypot(vx, vy)
+    if speed > sfm.desired_speed:
+        scale = sfm.desired_speed / speed
+        vx *= scale
+        vy *= scale
+    x = h.pose.x + vx * dt
+    y = h.pose.y + vy * dt
+    x, y, vx, vy = _clamp_to_bounds(x, y, vx, vy, w.bounds)
+    theta = math.atan2(vy, vx) if math.hypot(vx, vy) > 1e-6 else h.pose.theta
+    omega = normalize_angle(theta - h.pose.theta) / dt
+    goal = h.goal
+    if math.hypot(goal[0] - x, goal[1] - y) <= sfm.goal_radius:
+        goal = sample_goal(rng, w.bounds, (x, y), sim.min_goal_dist)
+    return Pose2D(x, y, theta), Velocity2D(vx, vy, omega), goal, paused_until
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def assert_step_equals_reference(sim):
+    rng = copy.deepcopy(sim.world.rng)
+    pose, velocity, goal, paused_until = human_step_reference(sim, rng, SIM_DT)
+    human = sim.step(SIM_DT).human
+    assert bits(human.pose.x, human.pose.y, human.pose.theta) == \
+        bits(pose.x, pose.y, pose.theta)
+    assert bits(human.velocity.vx, human.velocity.vy, human.velocity.omega) == \
+        bits(velocity.vx, velocity.vy, velocity.omega)
+    assert bits(*human.goal, sim._paused_until) == bits(*goal, paused_until)
+    assert sim.world.rng.bit_generator.state == rng.bit_generator.state
+
+
+coordinate = st.floats(0.0, 10.0)
+velocity_component = st.floats(-1.4, 1.4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), human=st.tuples(coordinate, coordinate),
+       velocity=st.tuples(velocity_component, velocity_component),
+       goal=st.tuples(coordinate, coordinate), robot=st.tuples(coordinate, coordinate),
+       halted=st.booleans(), quiet=st.booleans(), time=st.floats(0.0, 1000.0))
+@example(seed=0, human=(5.0, 5.0), velocity=(0.3, -0.2), goal=(5.0, 5.0), robot=(5.0, 5.0),
+         halted=False, quiet=False, time=0.0)  # at the goal and on the robot
+@example(seed=1, human=(0.0, 10.0), velocity=(-1.4, 1.4), goal=(9.0, 1.0), robot=(1.0, 9.0),
+         halted=True, quiet=True, time=3.0)  # halted against a corner
+def test_human_step_equals_the_vector_form(seed, human, velocity, goal, robot, halted,
+                                           quiet, time):
+    sim = Simulator(sfm=QUIET if quiet else SFMParams(), seed=seed)
+    sim.publish_initial()
+    sim.world.human = agent(*human, *velocity, goal=goal)
+    sim.world.robot = agent(*robot, agent_id="robot")
+    sim.world.time = time
+    sim._paused_until = time + 1.0 if halted else -1.0
+    assert_step_equals_reference(sim)
+
+
+def test_human_steps_equal_the_vector_form_over_a_long_run():
+    # 6,000 steps (300 simulated seconds) walk, halt, brush the robot and
+    # resample goals
+    config = default_config()
+    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed)
+    halted = 0
+    for _ in range(6000):
+        halted += sim.world.time < sim._paused_until
+        assert_step_equals_reference(sim)
+    assert 0 < halted < 6000
 
 
 # --- stepping ------------------------------------------------------------------

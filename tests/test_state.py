@@ -110,3 +110,30 @@ def test_merge_is_lossless_after_normalization():
     assert state.pose.x == 2.0 and state.pose.y == -3.0
     assert state.pose.theta == pytest.approx(normalize_angle(7.0))
     assert (state.velocity.vx, state.velocity.vy, state.velocity.omega) == (0.5, -0.25, 0.1)
+
+
+VALID_FIELDS = {
+    Pose2D: dict(x=1.0, y=2.0, theta=0.5),
+    Velocity2D: dict(vx=0.1, vy=-0.2, omega=0.3),
+    AgentState: dict(agent_id="human", stamp=1.0, pose=Pose2D(0.0, 0.0, 0.0),
+                     velocity=Velocity2D(0.0, 0.0, 0.0), goal=(1.0, 2.0), body_radius=0.3),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("message, field", [
+    (Pose2D, "x"), (Pose2D, "y"), (Pose2D, "theta"),
+    (Velocity2D, "vx"), (Velocity2D, "vy"), (Velocity2D, "omega"),
+    (AgentState, "stamp"), (AgentState, "goal_x"), (AgentState, "goal_y"),
+    (AgentState, "body_radius"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_nonfinite_field_is_named(message, field, bad):
+    fields = dict(VALID_FIELDS[message])
+    if field.startswith("goal_"):
+        goal = list(fields["goal"])
+        goal["xy".index(field[-1])] = bad
+        fields["goal"] = tuple(goal)
+    else:
+        fields[field] = bad
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite, got {bad!r}$"):
+        message(**fields)

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from causalpipe import stats
 from causalpipe.stats import (CITestResult, KernelRegParams, KernelRidgeCache, TEParams,
                               _permutation_rows, _sorted_abs_cross_sums, dcor_perm_test,
                               distance_correlation, kernel_ridge_residuals,
@@ -321,6 +324,70 @@ def test_cached_residual_equals_a_fresh_call_and_is_read_only():
     assert kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3, cache=cache,
                             keys=("x", "target", "z1 z2")) == \
         kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3)
+
+
+def counting(monkeypatch, name, calls, pause=0.0):
+    """Replace stats.<name> by a wrapper that counts its calls and sleeps
+    before computing, so concurrent callers overlap."""
+    original = getattr(stats, name)
+
+    def counted(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(pause)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stats, name, counted)
+
+
+def test_cache_computes_each_entry_once_across_threads(monkeypatch):
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=300)
+    target = np.tanh(z) + 0.1 * rng.normal(size=300)
+    builds, solves = [], []
+    counting(monkeypatch, "rbf_kernel", builds, pause=0.02)
+    counting(monkeypatch, "kernel_ridge_residuals", solves, pause=0.02)
+    cache = KernelRidgeCache(FAST_KRIDGE)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads, timeout=30)
+    results = [None] * n_threads
+
+    def ask(i):
+        barrier.wait()
+        results[i] = cache.residuals("target", target, "z", [z])
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1 and len(solves) == 1
+    assert all(r is results[0] for r in results)
+    assert results[0].tobytes() == kernel_ridge_residuals(target, [z], FAST_KRIDGE).tobytes()
+
+
+def test_cache_raises_a_failed_entry_and_computes_it_again(monkeypatch):
+    rng = np.random.default_rng(15)
+    z, target = rng.normal(size=(2, 100))
+    original = stats.kernel_ridge_residuals
+    failures = [RuntimeError("solve failed")]
+
+    def failing_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "kernel_ridge_residuals", failing_once)
+    cache = KernelRidgeCache(FAST_KRIDGE)
+    with pytest.raises(RuntimeError, match="solve failed"):
+        cache.residuals("target", target, "z", [z])
+    assert cache.residuals("target", target, "z", [z]).tobytes() == \
+        original(target, [z], FAST_KRIDGE).tobytes()
 
 
 # --- distance correlation --------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,40 @@ def test_non_finite_cell_rejected(tmp_path):
     path.write_text("a\nnan\n", encoding="utf-8")
     with pytest.raises(CsvFormatError, match="line 2"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "+nan", "Infinity", " -NaN "])
+def test_non_finite_cells_rejected_by_their_text(tmp_path, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError,
+                       match="^" + re.escape(f"inf.csv: line 3: non-finite cell {cell.strip()!r}") + "$"):
+        read_csv(path)
+
+
+def csv_text_reference(batch):
+    """The batch's CSV text written cell by cell over numpy scalars."""
+    lines = [",".join(batch.variable_names)]
+    for row in batch.rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_written_bytes_equal_the_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+               0.1 + 0.2, 1 / 3, -2 / 3, 123456789.12345678, 1e-7, 1e16, 1e17, 0.30000000000000004,
+               9007199254740993.0, -1.0000000000000002]
+    rows = np.concatenate([
+        np.reshape(special, (-1, 4)),
+        rng.normal(scale=[1e-300, 1e-6, 1.0, 1e300], size=(200, 4)),
+        rng.integers(-5, 5, size=(20, 4)).astype(float),
+    ])
+    batch = make_batch(rows, names=["time", "a", "b", "c"])
+    path = tmp_path / "ref.csv"
+    write_csv(batch, path)
+    assert path.read_bytes() == csv_text_reference(batch).encode("utf-8")
+    np.testing.assert_array_equal(read_csv(path).rows, rows)
 
 
 def test_batch_rejects_nonfinite_rows():
