@@ -180,15 +180,17 @@ def test_human_step_equals_the_vector_form(seed, human, velocity, goal, robot, h
 
 
 def test_human_steps_equal_the_vector_form_over_a_long_run():
-    # 6,000 steps (300 simulated seconds) walk, halt, brush the robot and
-    # resample goals
+    # 6,000 steps (300 simulated seconds) both walk and halt, and resample goals
     config = default_config()
     sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed)
     halted = 0
+    goals = {sim.world.human.goal}
     for _ in range(6000):
         halted += sim.world.time < sim._paused_until
         assert_step_equals_reference(sim)
+        goals.add(sim.world.human.goal)
     assert 0 < halted < 6000
+    assert len(goals) > 2
 
 
 # --- stepping ------------------------------------------------------------------
