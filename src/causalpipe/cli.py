@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
 import statistics
 import sys
@@ -21,7 +20,8 @@ import time as time_mod
 from pathlib import Path
 
 from . import scm_bench
-from .config import ConfigError, ScenarioConfig, default_config, load_config
+from .config import (ConfigError, ScenarioConfig, default_config, load_config,
+                     read_json_file)
 from .discovery import DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
 from .stats import TEParams
@@ -33,7 +33,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-BENCH_METHODS = ("pcmci-parcorr", "pcmci-kridge", "fpcmci")
+# Benchmark label -> (ci_test, method)
+BENCH_METHODS = {
+    "pcmci-parcorr": ("parcorr", "pcmci"),
+    "pcmci-kridge": ("kridge_dcor", "pcmci"),
+    "fpcmci": ("kridge_dcor", "fpcmci"),
+}
 
 
 def _add_discovery_flags(parser: argparse.ArgumentParser) -> None:
@@ -144,12 +149,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 
 def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError([f"bench config not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"bench config {path} is not valid JSON: {exc}"]) from None
+    payload = read_json_file(path, "bench config")
     problems = []
     specs = []
     for i, raw in enumerate(payload.get("specs", [])):
@@ -162,9 +162,10 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
     if not specs:
         problems.append("no benchmark specs given")
     methods = payload.get("methods", list(BENCH_METHODS))
+    known = tuple(BENCH_METHODS)
     for m in methods:
-        if m not in BENCH_METHODS:
-            problems.append(f"unknown method {m!r}; known: {BENCH_METHODS}")
+        if m not in known:
+            problems.append(f"unknown method {m!r}; known: {known}")
     seeds = int(payload.get("seeds", 10))
     if seeds < 1:
         problems.append(f"seeds must be >= 1, got {seeds}")
@@ -178,15 +179,9 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
 
 
 def _bench_params(method: str, seed: int, overrides: dict) -> DiscoveryParams:
-    base = {"tau_min": 1, "tau_max": 1, "seed": seed}
-    base.update(overrides)
-    if method == "pcmci-parcorr":
-        base.update(ci_test="parcorr", method="pcmci")
-    elif method == "pcmci-kridge":
-        base.update(ci_test="kridge_dcor", method="pcmci")
-    else:
-        base.update(ci_test="kridge_dcor", method="fpcmci")
-    return DiscoveryParams(**base)
+    ci_test, discovery_method = BENCH_METHODS[method]
+    return DiscoveryParams(**{"tau_min": 1, "tau_max": 1, "seed": seed, **overrides,
+                              "ci_test": ci_test, "method": discovery_method})
 
 
 def run_bench(specs, methods, seeds: int, base_seed: int = 0,

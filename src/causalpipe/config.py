@@ -127,12 +127,16 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
     return config
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
+def read_json_file(path: str | Path, what: str):
+    """The parsed JSON of `path`; a ConfigError names it as `what` when the
+    file is missing or not valid JSON."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"]) from None
+        raise ConfigError([f"{what} not found: {path}"]) from None
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from None
-    return config_from_dict(payload)
+        raise ConfigError([f"{what} {path} is not valid JSON: {exc}"]) from None
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return config_from_dict(read_json_file(path, "config file"))

@@ -14,20 +14,28 @@ indexed [lag][source][target]: a binary skeleton, the test statistic of each
 significant link, and its p-value. val/pval are nonzero only where the
 skeleton is 1, and every skeleton-1 entry has p-value <= alpha.
 
+Each phase of a batch (PC1, then MCI) runs its conditional-independence
+tests through one CIContext. The phase fixes the target rows (from tau_max
+for PC1, from 2 * tau_max for MCI, which also shifts the source's parents),
+so the context checks the batch length once, serves each lagged column as a
+view of the batch, and derives each test's seed from the batch id, the phase
+and the test's name. With kridge_dcor it also holds the phase's
+stats.KernelRidgeCache, keyed by row window and lagged variables, so a kernel
+or a kernel-ridge fit needed by several tests is computed once. The phases'
+windows differ, so they could share no cache entry; each context is let go
+when its phase ends, so PC1's kernels are freed before MCI builds its own.
+
 The tests of one batch that do not depend on each other run concurrently on
 one module-level thread pool, created on first use with one worker per CPU
 this process may run on: the directed transfer-entropy pairs of fpcmci and,
 with the kridge_dcor test, the parent pre-selection of each target and every
 MCI test once the parents are fixed (parcorr tests are too short to hand
 off). Most of a kernel-ridge / dCor test runs in numpy loops that release
-the interpreter lock, so two tests overlap in part. Seeds are derived on the
-calling thread and results are read back in submission order, so a model
-does not depend on the number of workers. Workers never submit to the pool,
-so it cannot deadlock. With kridge_dcor, the tests of each phase of a batch
-share one stats.KernelRidgeCache, keyed by row window and lagged variables,
-so a kernel or a kernel-ridge fit needed by several tests is computed once.
-A worker that waits for a cache entry waits for the worker computing it,
-never for a queued task, so sharing cannot deadlock either.
+the interpreter lock, so two tests overlap in part. Results are read back in
+submission order, so a model does not depend on the number of workers.
+Workers never submit to the pool, so it cannot deadlock. A worker that waits
+for a cache entry waits for the worker computing it, never for a queued
+task, so sharing the cache cannot deadlock either.
 
 A PoolWatcher reproduces the batch worker: it polls a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
@@ -204,41 +212,26 @@ def _pooled(params: DiscoveryParams) -> bool:
     return params.ci_test == "kridge_dcor"
 
 
-def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True,
-             **kwargs) -> list[Any]:
-    """fn(*job, **kwargs) for every job, on the shared pool when `pooled`,
+def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True) -> list[Any]:
+    """fn(*job) for every job, on the shared pool when `pooled`,
     results in job order. The first failure in job order is raised
     unchanged, after the jobs that have not started yet are cancelled."""
     if not pooled:
-        return [fn(*job, **kwargs) for job in jobs]
+        return [fn(*job) for job in jobs]
     pool = _executor()
     try:
-        futures = [pool.submit(fn, *job, **kwargs) for job in jobs]
+        futures = [pool.submit(fn, *job) for job in jobs]
     except RuntimeError:
         # The pool takes no new work once the interpreter has begun to exit.
         # A daemon watcher still inside a batch then finishes it on its own
         # thread instead of failing and quarantining a good file.
-        return [fn(*job, **kwargs) for job in jobs]
+        return [fn(*job) for job in jobs]
     try:
         return [f.result() for f in futures]
     except BaseException:
         for f in futures:
             f.cancel()
         raise
-
-
-def _ci_test(params: DiscoveryParams, x, y, Z, seed: int,
-             cache: KernelRidgeCache | None = None, keys: tuple | None = None) -> CITestResult:
-    """Run the configured CI test; a test that raises counts as independent.
-    `cache` and `keys` reach kridge_dcor_test, which shares kernel-ridge
-    residuals through them."""
-    try:
-        if params.ci_test == "parcorr":
-            return parcorr_test(x, y, Z)
-        return kridge_dcor_test(x, y, Z, params.kridge, seed=seed, cache=cache, keys=keys)
-    except Exception:
-        log.exception("CI test failed; treating as independent")
-        return INDEPENDENT
 
 
 def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariable]:
@@ -250,58 +243,82 @@ def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariab
             for tau in range(params.tau_min, params.tau_max + 1)]
 
 
-def _ci_keys(window_start: int, x: LaggedVariable, y: LaggedVariable,
-             conds: Sequence[LaggedVariable]) -> tuple:
-    """Cache keys of one test's x, y and Z: the row window fixes which rows a
-    lagged variable's column holds, and Z's columns keep their order."""
-    return (window_start, x), (window_start, y), (window_start, tuple(conds))
+# The first target row of each phase, in multiples of tau_max.
+_PHASE_WINDOW = {"pc1": 1, "mci": 2}
 
 
-def _lagged_column(X: np.ndarray, var: int, lag: int, window_start: int) -> np.ndarray:
-    """Values of X[:, var] at `lag` steps behind rows [window_start, n)."""
-    n = X.shape[0]
-    return X[window_start - lag:n - lag, var]
+class CIContext:
+    """The CI tests of one phase ("pc1" or "mci") of one batch (see the module
+    docstring). Cross pairs (i, j) outside `allowed_pairs`, when it is given,
+    are never tested."""
+
+    def __init__(self, batch: TimeSeriesBatch, params: DiscoveryParams, phase: str,
+                 batch_id: str = "batch",
+                 allowed_pairs: set[tuple[int, int]] | None = None):
+        if phase not in _PHASE_WINDOW:
+            raise ValueError(f"phase must be one of {tuple(_PHASE_WINDOW)}, got {phase!r}")
+        names, self._X = batch.analysis_view()
+        self.n_vars = len(names)
+        if self.n_vars < 1:
+            raise DiscoveryError("batch has no analysis variables")
+        self.window_start = _PHASE_WINDOW[phase] * params.tau_max
+        usable = self._X.shape[0] - self.window_start
+        need = 10 * (params.max_conditions + 2)
+        if usable < need:
+            raise BatchTooShortError(
+                f"{usable} usable rows after lag alignment; need >= {need}"
+            )
+        self.params = params
+        self.phase = phase
+        self.batch_id = batch_id
+        self.allowed_pairs = allowed_pairs
+        self.cache = KernelRidgeCache(params.kridge)
+
+    def allows(self, i: int, j: int) -> bool:
+        """Whether source i may be tested against target j."""
+        return self.allowed_pairs is None or i == j or (i, j) in self.allowed_pairs
+
+    def column(self, v: LaggedVariable) -> np.ndarray:
+        """Values of variable v.var_index, v.lag steps behind the target rows."""
+        n = self._X.shape[0]
+        return self._X[self.window_start - v.lag:n - v.lag, v.var_index]
+
+    def test(self, x: LaggedVariable, y: LaggedVariable, conds: Sequence[LaggedVariable],
+             *seed_parts) -> CITestResult:
+        """The configured CI test of x and y given conds; a test that raises
+        counts as independent. `seed_parts` name the test within its phase."""
+        Z = [self.column(c) for c in conds]
+        try:
+            if self.params.ci_test == "parcorr":
+                return parcorr_test(self.column(x), self.column(y), Z)
+            seed = _derived_seed(self.params.seed, self.batch_id, self.phase, *seed_parts)
+            w = self.window_start
+            return kridge_dcor_test(self.column(x), self.column(y), Z, self.params.kridge,
+                                    seed=seed, cache=self.cache,
+                                    keys=((w, x), (w, y), (w, tuple(conds))))
+        except Exception:
+            log.exception("CI test failed; treating as independent")
+            return INDEPENDENT
 
 
-def _check_usable_rows(X: np.ndarray, window_start: int, params: DiscoveryParams) -> None:
-    """Raise BatchTooShortError unless enough rows remain after lag alignment."""
-    usable = X.shape[0] - window_start
-    need = 10 * (params.max_conditions + 2)
-    if usable < need:
-        raise BatchTooShortError(
-            f"{usable} usable rows after lag alignment; need >= {need}"
-        )
-
-
-def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
-                            params: DiscoveryParams,
-                            allowed_pairs: set[tuple[int, int]] | None = None,
-                            batch_id: str = "batch",
-                            cache: KernelRidgeCache | None = None,
+def pc1_condition_selection(ctx: CIContext, target: int
                             ) -> list[tuple[LaggedVariable, float]]:
     """Iterative parent pre-selection for one target variable.
 
-    Starting from all lagged candidates, condition-set sizes p = 0, 1, ...,
-    max_conditions are tried in turn: each surviving candidate is tested
-    against the target given the p strongest other survivors (ranked by
-    |statistic| from the previous pass), and is removed when its p-value
-    exceeds pc_alpha. Survivors are re-sorted by |statistic| after each pass.
-    Returns the surviving parents with their final statistics, strongest
-    first. When `allowed_pairs` is given, cross candidates (i, target)
-    outside it are never considered. Targets tested with one `cache` share
-    their kernel-ridge work.
+    Starting from all lagged candidates the context allows, condition-set
+    sizes p = 0, 1, ..., max_conditions are tried in turn: each surviving
+    candidate is tested against the target given the p strongest other
+    survivors (ranked by |statistic| from the previous pass), and is removed
+    when its p-value exceeds pc_alpha. Survivors are re-sorted by |statistic|
+    after each pass. Returns the surviving parents with their final
+    statistics, strongest first.
     """
-    names, X = batch.analysis_view()
-    n_vars = len(names)
-    if not 0 <= target < n_vars:
-        raise ValueError(f"target {target} outside [0,{n_vars})")
-    window_start = params.tau_max
-    _check_usable_rows(X, window_start, params)
-    survivors = [c for c in lagged_candidates(n_vars, params)
-                 if allowed_pairs is None or c.var_index == target
-                 or (c.var_index, target) in allowed_pairs]
-    y = X[window_start:, target]
-    columns = {c: _lagged_column(X, c.var_index, c.lag, window_start) for c in survivors}
+    if not 0 <= target < ctx.n_vars:
+        raise ValueError(f"target {target} outside [0,{ctx.n_vars})")
+    params = ctx.params
+    y = LaggedVariable(target, 0)
+    survivors = [c for c in lagged_candidates(ctx.n_vars, params)
+                 if ctx.allows(c.var_index, target)]
     stats: dict[LaggedVariable, float] = {}
 
     for p in range(params.max_conditions + 1):
@@ -312,11 +329,7 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
         removed: set[LaggedVariable] = set()
         for c in survivors:
             conds = [o for o in ranking if o != c][:p]
-            Z = [columns[o] for o in conds]
-            seed = _derived_seed(params.seed, batch_id, "pc1", target,
-                                 c.var_index, c.lag, p)
-            keys = _ci_keys(window_start, c, LaggedVariable(target, 0), conds)
-            result = _ci_test(params, columns[c], y, Z, seed, cache, keys)
+            result = ctx.test(c, y, conds, target, c.var_index, c.lag, p)
             new_stats[c] = result.statistic
             if result.p_value > params.pc_alpha:
                 removed.add(c)
@@ -327,25 +340,19 @@ def pc1_condition_selection(batch: TimeSeriesBatch, target: int,
     return [(c, stats[c]) for c in ordered]
 
 
-def mci_tests(batch: TimeSeriesBatch,
-              parents_by_target: dict[int, list[tuple[LaggedVariable, float]]],
-              params: DiscoveryParams,
-              allowed_pairs: set[tuple[int, int]] | None = None,
-              batch_id: str = "batch",
-              cache: KernelRidgeCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mci_tests(ctx: CIContext,
+              parents_by_target: dict[int, list[tuple[LaggedVariable, float]]]
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Momentary conditional independence tests for every ordered pair.
 
     The test of X_i at lag tau against X_j conditions on the selected parents
     of X_j (minus the tested link) plus the parents of X_i shifted by tau,
     each side truncated to the max_conditions strongest. Returns (val, pval)
-    tensors of shape (n_lags, n_vars, n_vars). When `allowed_pairs` is given,
-    cross pairs (i, j) outside it are skipped (left at val 0 / pval 1). The
-    tests share their kernel-ridge work through `cache`, when one is given.
+    tensors of shape (n_lags, n_vars, n_vars). Cross pairs the context does
+    not allow are skipped (left at val 0 / pval 1).
     """
-    names, X = batch.analysis_view()
-    n_vars = len(names)
-    window_start = 2 * params.tau_max
-    _check_usable_rows(X, window_start, params)
+    params = ctx.params
+    n_vars = ctx.n_vars
     n_lags = params.n_lags
     val = np.zeros((n_lags, n_vars, n_vars))
     pval = np.ones((n_lags, n_vars, n_vars))
@@ -358,10 +365,9 @@ def mci_tests(batch: TimeSeriesBatch,
     jobs = []
     cells = []
     for j in range(n_vars):
-        y = X[window_start:, j]
         parents_j = top_parents(j)
         for i in range(n_vars):
-            if allowed_pairs is not None and i != j and (i, j) not in allowed_pairs:
+            if not ctx.allows(i, j):
                 continue
             parents_i = top_parents(i)
             for tau in range(params.tau_min, params.tau_max + 1):
@@ -373,16 +379,18 @@ def mci_tests(batch: TimeSeriesBatch,
                 for c in cond_j + cond_i:
                     if c != tested and c not in conds:
                         conds.append(c)
-                Z = [_lagged_column(X, c.var_index, c.lag, window_start) for c in conds]
-                x = _lagged_column(X, i, tau, window_start)
-                seed = _derived_seed(params.seed, batch_id, "mci", i, j, tau)
-                keys = _ci_keys(window_start, tested, LaggedVariable(j, 0), conds)
-                jobs.append((params, x, y, Z, seed, cache, keys))
+                jobs.append((tested, LaggedVariable(j, 0), conds, i, j, tau))
                 cells.append((tau - params.tau_min, i, j))
-    for (l, i, j), result in zip(cells, _run_all(_ci_test, jobs, _pooled(params))):
+    for (l, i, j), result in zip(cells, _run_all(ctx.test, jobs, _pooled(params))):
         val[l, i, j] = result.statistic
         pval[l, i, j] = result.p_value
     return val, pval
+
+
+def _select_parents(ctx: CIContext) -> dict[int, list[tuple[LaggedVariable, float]]]:
+    """PC1's parents of every target, by target."""
+    jobs = [(ctx, j) for j in range(ctx.n_vars)]
+    return dict(enumerate(_run_all(pc1_condition_selection, jobs, _pooled(ctx.params))))
 
 
 def _assemble_model(batch: TimeSeriesBatch, params: DiscoveryParams,
@@ -413,19 +421,12 @@ def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     With a `te_filter` (as built by fpcmci), only the cross pairs it kept
     enter either phase, and the model is recorded as F-PCMCI.
     """
-    names, _ = batch.analysis_view()
-    n_vars = len(names)
-    if n_vars < 1:
-        raise DiscoveryError("batch has no analysis variables")
     allowed_pairs = None if te_filter is None else set(te_filter["kept"])
-    # Each phase gets its own kernel-ridge cache: the two phases use
-    # different row windows, so they could share no entry.
-    selected = _run_all(pc1_condition_selection, [(batch, j, params) for j in range(n_vars)],
-                        _pooled(params), allowed_pairs=allowed_pairs, batch_id=batch_id,
-                        cache=KernelRidgeCache(params.kridge))
-    parents = dict(enumerate(selected))
-    val, pval = mci_tests(batch, parents, params, allowed_pairs=allowed_pairs,
-                          batch_id=batch_id, cache=KernelRidgeCache(params.kridge))
+    # Each phase gets its own context: the two phases use different row
+    # windows, so their caches could share no entry. Each context is built in
+    # the call that uses it, so PC1's kernels are freed before MCI starts.
+    parents = _select_parents(CIContext(batch, params, "pc1", batch_id, allowed_pairs))
+    val, pval = mci_tests(CIContext(batch, params, "mci", batch_id, allowed_pairs), parents)
     return _assemble_model(batch, params, val, pval, batch_id, te_filter)
 
 
@@ -595,7 +596,6 @@ class PoolWatcher:
         self.quarantine_dir = self.pool_dir / "quarantine"
         self.published = 0
         self.quarantined = 0
-        self.processed_files: list[str] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._work_lock = threading.Lock()  # strictly sequential processing
@@ -637,7 +637,6 @@ class PoolWatcher:
                     end_time = batch.t0 + max(batch.n_samples - 1, 0) * batch.dt
                     self.bus.publish(MODEL_TOPIC, model, time=end_time)
                 self.published += 1
-                self.processed_files.append(path.name)
                 if self.on_model is not None:
                     try:
                         self.on_model(model, path)

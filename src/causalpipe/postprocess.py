@@ -48,21 +48,12 @@ class RiskParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-def _check_finite(state: AgentState, what: str) -> None:
-    values = (state.pose.x, state.pose.y, state.velocity.vx, state.velocity.vy,
-              state.goal[0], state.goal[1])
-    if not all(math.isfinite(v) for v in values):
-        raise PostprocessError(f"non-finite {what} state at stamp {state.stamp}")
-
-
 def human_speed(h: AgentState) -> float:
     """Planar speed, ignoring angular velocity."""
-    _check_finite(h, "human")
     return math.hypot(h.velocity.vx, h.velocity.vy)
 
 
 def goal_distance(h: AgentState) -> float:
-    _check_finite(h, "human")
     return math.hypot(h.goal[0] - h.pose.x, h.goal[1] - h.pose.y)
 
 
@@ -77,8 +68,6 @@ def collision_risk(h: AgentState, r: AgentState, p: RiskParams = RiskParams()) -
     Near-coincident agents (d <= epsilon) are clamped to the epsilon gap and
     flagged in the log; the result stays finite.
     """
-    _check_finite(h, "human")
-    _check_finite(r, "robot")
     dx = r.pose.x - h.pose.x
     dy = r.pose.y - h.pose.y
     d = math.hypot(dx, dy)
@@ -94,7 +83,11 @@ def collision_risk(h: AgentState, r: AgentState, p: RiskParams = RiskParams()) -
 
 def postprocess_batch(samples: Iterable[RawSample],
                       risk: RiskParams = RiskParams()) -> TimeSeriesBatch:
-    """One row per sample, columns (time, h_v, h_dg, h_risk)."""
+    """One row per sample, columns (time, h_v, h_dg, h_risk).
+
+    The agent states were checked finite when they were built; a row that is
+    not finite all the same fails the batch, naming the row's time.
+    """
     samples = list(samples)
     if not samples:
         raise PostprocessError("empty sample list")
@@ -102,6 +95,9 @@ def postprocess_batch(samples: Iterable[RawSample],
     for i, s in enumerate(samples):
         rows[i] = (s.t, human_speed(s.human), goal_distance(s.human),
                    collision_risk(s.human, s.robot, risk))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise PostprocessError(f"non-finite row at time {rows[~finite][0, 0]}")
     t0 = samples[0].t
     dt = samples[1].t - samples[0].t if len(samples) > 1 else 1.0
     return TimeSeriesBatch(variable_names=list(HRI_COLUMNS), t0=t0, dt=dt, rows=rows)

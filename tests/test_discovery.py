@@ -6,20 +6,23 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalpipe import discovery, stats
+from causalpipe import collector, discovery, stats
 from causalpipe.bus import MessageBus
+from causalpipe.config import default_config
 from causalpipe.discovery import (MODEL_TOPIC, BatchTooShortError, CausalModel,
-                                  DiscoveryParams, LaggedVariable, PoolWatcher,
+                                  CIContext, DiscoveryParams, LaggedVariable, PoolWatcher,
                                   batch_id_for, discover, export_model, fpcmci,
                                   lagged_candidates, load_model_json, mci_tests,
                                   model_from_dict, model_to_dict,
                                   pc1_condition_selection, pcmci)
+from causalpipe.pipeline import run_pipeline
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams, TEParams
 from causalpipe.timeseries import TimeSeriesBatch, write_csv
@@ -66,7 +69,7 @@ def test_pc1_white_noise_yields_empty_parents():
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         batch = batch_from(rng.normal(size=(500, 1)))
-        parents = pc1_condition_selection(batch, 0, PARCORR, batch_id=f"w{seed}")
+        parents = pc1_condition_selection(CIContext(batch, PARCORR, "pc1", f"w{seed}"), 0)
         if not parents:
             empty += 1
     assert empty >= 0.9 * n_seeds
@@ -82,7 +85,7 @@ def test_pc1_keeps_autocorrelation_parent():
         for t in range(1, 500):
             x[t] = 0.9 * x[t - 1] + rng.normal()
         batch = batch_from(x[:, None])
-        parents = pc1_condition_selection(batch, 0, PARCORR, batch_id=f"a{seed}")
+        parents = pc1_condition_selection(CIContext(batch, PARCORR, "pc1", f"a{seed}"), 0)
         if LaggedVariable(0, 1) in [c for c, _ in parents]:
             found += 1
     assert found >= 0.95 * n_seeds
@@ -104,17 +107,21 @@ def test_pc1_chain_excludes_indirect_parent():
             z[t] = 0.8 * x[t - 1] + rng.normal()
             y[t] = 0.8 * z[t - 1] + rng.normal()
         batch = batch_from(np.column_stack([x, z, y]))
-        parents = pc1_condition_selection(batch, 2, PARCORR, batch_id=f"ch{seed}")
+        parents = pc1_condition_selection(CIContext(batch, PARCORR, "pc1", f"ch{seed}"), 2)
         kept = [c for c, _ in parents]
         if LaggedVariable(0, 1) not in kept:
             excluded += 1
     assert excluded >= 0.85 * n_seeds
 
 
-def test_pc1_batch_too_short():
-    batch = batch_from(np.random.default_rng(0).normal(size=(20, 2)))
-    with pytest.raises(BatchTooShortError):
-        pc1_condition_selection(batch, 0, PARCORR)
+@pytest.mark.parametrize("n_rows, usable", [pytest.param(20, 19, id="pc1"),
+                                             pytest.param(51, 49, id="mci")])
+def test_pc1_batch_too_short(n_rows, usable):
+    # with tau_max=1 and max_conditions=3 a phase needs 50 rows: 51 rows fit
+    # PC1's window (from row 1) but not MCI's (from row 2)
+    batch = batch_from(np.random.default_rng(0).normal(size=(n_rows, 2)))
+    with pytest.raises(BatchTooShortError, match=f"^{usable} usable rows"):
+        pcmci(batch, PARCORR)
 
 
 # --- mci ----------------------------------------------------------------------
@@ -122,8 +129,9 @@ def test_pc1_batch_too_short():
 def test_mci_tensor_shapes():
     batch, _ = scm_batch([Edge(0, 1, 1, 0.8)], n_vars=2, seed=0)
     params = DiscoveryParams(tau_min=1, tau_max=3, ci_test="parcorr")
-    parents = {j: pc1_condition_selection(batch, j, params) for j in range(2)}
-    val, pval = mci_tests(batch, parents, params)
+    pc1 = CIContext(batch, params, "pc1")
+    parents = {j: pc1_condition_selection(pc1, j) for j in range(2)}
+    val, pval = mci_tests(CIContext(batch, params, "mci"), parents)
     assert val.shape == (3, 2, 2)
     assert pval.shape == (3, 2, 2)
 
@@ -133,9 +141,9 @@ def test_mci_white_noise_false_positive_budget():
     fp_counts = []
     for seed in range(20):
         batch, _ = scm_batch([], n_vars=3, seed=100 + seed)
-        parents = {j: pc1_condition_selection(batch, j, PARCORR, batch_id=f"m{seed}")
-                   for j in range(3)}
-        val, pval = mci_tests(batch, parents, PARCORR, batch_id=f"m{seed}")
+        pc1 = CIContext(batch, PARCORR, "pc1", f"m{seed}")
+        parents = {j: pc1_condition_selection(pc1, j) for j in range(3)}
+        val, pval = mci_tests(CIContext(batch, PARCORR, "mci", f"m{seed}"), parents)
         fp_counts.append(int((pval <= 0.05).sum()))
     assert np.mean(fp_counts) <= 0.05 * 9 * 3
 
@@ -145,9 +153,9 @@ def test_mci_detects_strong_coupling():
     n_seeds = 30
     for seed in range(n_seeds):
         batch, _ = scm_batch([Edge(0, 1, 1, 0.8)], n_vars=2, seed=seed)
-        parents = {j: pc1_condition_selection(batch, j, PARCORR, batch_id=f"s{seed}")
-                   for j in range(2)}
-        val, pval = mci_tests(batch, parents, PARCORR, batch_id=f"s{seed}")
+        pc1 = CIContext(batch, PARCORR, "pc1", f"s{seed}")
+        parents = {j: pc1_condition_selection(pc1, j) for j in range(2)}
+        val, pval = mci_tests(CIContext(batch, PARCORR, "mci", f"s{seed}"), parents)
         if pval[0, 0, 1] <= 0.05 and val[0, 0, 1] > 0:
             hits += 1
     assert hits >= 0.95 * n_seeds
@@ -393,12 +401,25 @@ def test_discover_leaves_no_per_batch_state(monkeypatch):
         caches.append(weakref.ref(cache))
 
     monkeypatch.setattr(stats.KernelRidgeCache, "__init__", tracked)
+    live_at_mci = []
+    mci = discovery.mci_tests
+
+    def entering_mci(*args, **kwargs):
+        gc.collect()
+        live_at_mci.append([k for k, ref in enumerate(caches) if ref() is not None])
+        return mci(*args, **kwargs)
+
     batch = kridge_batch(4)
     discover(batch, KRIDGE_FAST, batch_id="warm")  # the shared pool exists from here on
+    monkeypatch.setattr(discovery, "mci_tests", entering_mci)
+    caches.clear()
     modules = {module: dict(vars(module)) for module in (stats, discovery)}
     discover(batch, KRIDGE_FAST, batch_id="state")
     gc.collect()
     assert caches and all(ref() is None for ref in caches)
+    # one cache a phase, and PC1's is gone by the time MCI starts
+    assert len(caches) == 2
+    assert live_at_mci == [[1]]
     for module, before in modules.items():
         after = vars(module)
         assert after.keys() == before.keys()
@@ -422,6 +443,42 @@ def test_batches_analysed_concurrently_give_their_sequential_models():
         sys.setswitchinterval(interval)
     assert concurrent == sequential
     assert sequential[0] != sequential[1]
+
+
+# The module attributes the benchmark's traced replay replaces with timing
+# wrappers. The program must look each up at call time, or a layer's time and
+# call count silently read 0.
+TRACED = [(discovery, "pc1_condition_selection"), (discovery, "mci_tests"),
+          (discovery, "kridge_dcor_test"), (discovery, "parcorr_test"),
+          (discovery, "te_significance"), (discovery, "discover"),
+          (stats, "kernel_ridge_residuals"), (stats, "dcor_perm_test"),
+          (collector, "write_csv")]
+
+
+@pytest.mark.parametrize("ci_test, method, unreached", [
+    ("kridge_dcor", "fpcmci", {"parcorr_test"}),
+    ("parcorr", "pcmci", {"kridge_dcor_test", "te_significance",
+                          "kernel_ridge_residuals", "dcor_perm_test"}),
+])
+def test_pipeline_reaches_every_traced_name(ci_test, method, unreached, tmp_path,
+                                            monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in TRACED:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    cfg = default_config(tmp_path, seed=2)
+    cfg.duration = 60.0
+    cfg.collector = dataclasses.replace(cfg.collector, batch_seconds=60.0)
+    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test=ci_test, method=method,
+                                        kridge=KernelRegParams(permutations=50))
+    assert len(run_pipeline(cfg).models) == 1
+    assert {name for _, name in TRACED if calls[name] == 0} == unreached
 
 
 # --- export -------------------------------------------------------------------
@@ -610,7 +667,8 @@ def test_watcher_quarantines_corrupt_file(tmp_path):
     assert watcher.published == 1
     # conservation: every file either published or quarantined, none twice
     assert watcher.published + watcher.quarantined == 2
-    assert len(set(watcher.processed_files)) == len(watcher.processed_files)
+    assert list(pool.glob("*.csv")) == []
+    assert [p.name for p in (pool / "quarantine").iterdir()] == [bad.name]
 
 
 def test_watcher_background_thread_processes(tmp_path):

@@ -164,6 +164,15 @@ def test_postprocess_batch_rejects_nonfinite_sample():
         postprocess_batch([RawSample(t=0.0, human=h, robot=good)])
 
 
+def test_postprocess_batch_names_the_time_of_a_nonfinite_row():
+    # finite states whose speed overflows to inf
+    robot = agent(x=5.0, agent_id="robot")
+    samples = [RawSample(t=0.0, human=agent(), robot=robot),
+               RawSample(t=0.3, human=agent(vx=1.5e308, vy=1.5e308), robot=robot)]
+    with pytest.raises(PostprocessError, match="at time 0.3$"):
+        postprocess_batch(samples)
+
+
 def test_postprocess_batch_rejects_empty():
     with pytest.raises(PostprocessError):
         postprocess_batch([])
