@@ -20,7 +20,8 @@ import time as time_mod
 from pathlib import Path
 
 from . import scm_bench
-from .config import (ConfigError, ScenarioConfig, default_config, load_config,
+from .config import (PARSE_ERRORS, ConfigError, ScenarioConfig, default_config,
+                     discovery_params, is_integer, json_kind, load_config,
                      read_json_file)
 from .discovery import DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
@@ -150,43 +151,62 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
     payload = read_json_file(path, "bench config")
+    if not isinstance(payload, dict):
+        raise ConfigError([f"bench config {path} must be a JSON object, got "
+                           f"{json_kind(payload)}"])
     problems = []
+    raw_specs = payload.get("specs", [])
+    if not isinstance(raw_specs, list):
+        problems.append(f"specs must be a JSON array, got {json_kind(raw_specs)}")
+        raw_specs = []
     specs = []
-    for i, raw in enumerate(payload.get("specs", [])):
+    for i, raw in enumerate(raw_specs):
+        if not isinstance(raw, dict):
+            problems.append(f"specs[{i}] must be a JSON object, got {json_kind(raw)}")
+            continue
         try:
             raw = dict(raw)
             raw["edges"] = tuple(tuple(e) for e in raw.get("edges", ()))
             specs.append(scm_bench.SCMSpec(**raw))
-        except (TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             problems.append(f"specs[{i}]: {exc}")
     if not specs:
         problems.append("no benchmark specs given")
     methods = payload.get("methods", list(BENCH_METHODS))
-    known = tuple(BENCH_METHODS)
-    for m in methods:
-        if m not in known:
-            problems.append(f"unknown method {m!r}; known: {known}")
-    seeds = int(payload.get("seeds", 10))
-    if seeds < 1:
-        problems.append(f"seeds must be >= 1, got {seeds}")
+    if not isinstance(methods, list) or not methods:
+        problems.append(f"methods must be a non-empty JSON array, got {json_kind(methods)}")
+    else:
+        known = tuple(BENCH_METHODS)
+        problems += [f"unknown method {m!r}; known: {known}" for m in methods
+                     if m not in known]
+    seeds = payload.get("seeds", 10)
+    if not is_integer(seeds) or seeds < 1:
+        problems.append(f"seeds must be an integer >= 1, got {json_kind(seeds)}")
+    base_seed = payload.get("seed", 0) if seed_override is None else seed_override
+    if not is_integer(base_seed):
+        problems.append(f"seed must be an integer, got {json_kind(base_seed)}")
+    overrides = payload.get("discovery", {})
+    discovery = None
+    if not isinstance(overrides, dict):
+        problems.append(f"discovery must be a JSON object, got {json_kind(overrides)}")
+    else:
+        try:
+            discovery = discovery_params(**{"tau_min": 1, "tau_max": 1, **overrides})
+        except PARSE_ERRORS as exc:
+            problems.append(f"discovery: {exc}")
     if problems:
         raise ConfigError(problems)
-    discovery = payload.get("discovery", {})
-    return {"specs": specs, "methods": methods, "seeds": seeds,
-            "base_seed": seed_override if seed_override is not None
-                         else int(payload.get("seed", 0)),
+    return {"specs": specs, "methods": methods, "seeds": seeds, "base_seed": base_seed,
             "discovery": discovery}
 
 
-def _bench_params(method: str, seed: int, overrides: dict) -> DiscoveryParams:
-    ci_test, discovery_method = BENCH_METHODS[method]
-    return DiscoveryParams(**{"tau_min": 1, "tau_max": 1, "seed": seed, **overrides,
-                              "ci_test": ci_test, "method": discovery_method})
+def run_bench(specs, methods, seeds: int, base_seed: int,
+              discovery: DiscoveryParams) -> list[dict]:
+    """Score every spec x method over `seeds` seeds; returns report rows.
 
-
-def run_bench(specs, methods, seeds: int, base_seed: int = 0,
-              discovery_overrides: dict | None = None) -> list[dict]:
-    """Score every spec x method over `seeds` seeds; returns report rows."""
+    `discovery` holds the settings that every run shares; each run sets its
+    own seed, CI test and method.
+    """
     rows = []
     te_params = TEParams()
     for spec in specs:
@@ -201,7 +221,9 @@ def run_bench(specs, methods, seeds: int, base_seed: int = 0,
                 except scm_bench.SpecUnstableError as exc:
                     status = f"unstable: {exc}"
                     break
-                params = _bench_params(method, seed, discovery_overrides or {})
+                ci_test, discovery_method = BENCH_METHODS[method]
+                params = dataclasses.replace(discovery, seed=seed, ci_test=ci_test,
+                                             method=discovery_method)
                 t_start = time_mod.perf_counter()
                 model = discover(batch, params, te_params, batch_id=f"{spec.name}-{seed}")
                 walls.append(time_mod.perf_counter() - t_start)

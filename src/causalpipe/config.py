@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             f"duration ({config.duration}s) must be >= collector.batch_seconds "
             f"({config.collector.batch_seconds}s)"
         )
-    if config.collector.postprocessor not in POSTPROCESSORS:
+    if not (isinstance(config.collector.postprocessor, str)
+            and config.collector.postprocessor in POSTPROCESSORS):
         problems.append(
             f"unknown postprocessor {config.collector.postprocessor!r}; "
             f"registered: {sorted(POSTPROCESSORS)}"
@@ -77,47 +79,89 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return payload
 
 
+# What a dataclass raises on a field of the wrong type or value; OverflowError
+# comes from float() of an integer too large for a double.
+PARSE_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def json_kind(value) -> str:
+    """The JSON name of a parsed value's type, for error messages."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return f"the number {value!r}"
+    if isinstance(value, str):
+        return "a string"
+    return "an array" if isinstance(value, list) else "an object"
+
+
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def discovery_params(**fields) -> DiscoveryParams:
+    """DiscoveryParams from a JSON object's fields, with a nested `kridge` object."""
+    if "kridge" in fields:
+        if not isinstance(fields["kridge"], dict):
+            raise TypeError(f"kridge must be a JSON object, got {json_kind(fields['kridge'])}")
+        fields["kridge"] = KernelRegParams(**fields["kridge"])
+    return DiscoveryParams(**fields)
+
+
+def _robot_path(**fields) -> RobotPath:
+    if "waypoints" in fields:
+        fields["waypoints"] = tuple(tuple(w) for w in fields["waypoints"])
+    return RobotPath(**fields)
+
+
+# Config section -> what builds it from the section's JSON object.
 _SECTIONS = {
     "collector": CollectorConfig,
+    "discovery": discovery_params,
     "te": TEParams,
     "risk": RiskParams,
     "sfm": SFMParams,
+    "robot_path": _robot_path,
+}
+
+# Top-level scalar -> (whether a JSON value is acceptable, what it must be).
+_SCALARS = {
+    "duration": (lambda v: is_integer(v) or (isinstance(v, float) and math.isfinite(v)),
+                 "a finite number"),
+    "seed": (is_integer, "an integer"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
 }
 
 
-def config_from_dict(payload: dict) -> ScenarioConfig:
-    """Build a config from a plain dict, aggregating every section's errors."""
-    problems: list[str] = []
-    known = set(_SECTIONS) | {"discovery", "robot_path", "duration", "seed", "output_dir"}
-    for key in payload:
-        if key not in known:
-            problems.append(f"unknown config section {key!r}")
+def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
+    """Build a config from parsed JSON, aggregating every section's errors;
+    `what` names the document in the error when it is not a JSON object."""
+    if not isinstance(payload, dict):
+        raise ConfigError([f"{what} must be a JSON object, got {json_kind(payload)}"])
+    problems = [f"unknown config section {key!r}" for key in payload
+                if key not in _SECTIONS and key not in _SCALARS]
     kwargs: dict = {}
-    for section, cls in _SECTIONS.items():
+    for section, build in _SECTIONS.items():
         if section not in payload:
             continue
+        fields = payload[section]
+        if not isinstance(fields, dict):
+            problems.append(f"{section} must be a JSON object, got {json_kind(fields)}")
+            continue
         try:
-            kwargs[section] = cls(**payload[section])
-        except (TypeError, ValueError) as exc:
+            kwargs[section] = build(**fields)
+        except PARSE_ERRORS as exc:
             problems.append(f"{section}: {exc}")
-    if "discovery" in payload:
-        try:
-            disc = dict(payload["discovery"])
-            if "kridge" in disc:
-                disc["kridge"] = KernelRegParams(**disc["kridge"])
-            kwargs["discovery"] = DiscoveryParams(**disc)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"discovery: {exc}")
-    if "robot_path" in payload:
-        try:
-            rp = dict(payload["robot_path"])
-            rp["waypoints"] = tuple(tuple(w) for w in rp.get("waypoints", ()))
-            kwargs["robot_path"] = RobotPath(**rp)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"robot_path: {exc}")
-    for scalar in ("duration", "seed", "output_dir"):
-        if scalar in payload:
-            kwargs[scalar] = payload[scalar]
+    for name, (accepts, kind) in _SCALARS.items():
+        if name not in payload:
+            continue
+        if accepts(payload[name]):
+            kwargs[name] = payload[name]
+        else:
+            problems.append(f"{name} must be {kind}, got {json_kind(payload[name])}")
     if problems:
         raise ConfigError(problems)
     config = ScenarioConfig(**kwargs)
@@ -129,14 +173,16 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
 
 def read_json_file(path: str | Path, what: str):
     """The parsed JSON of `path`; a ConfigError names it as `what` when the
-    file is missing or not valid JSON."""
+    file cannot be read or is not valid JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError([f"{what} not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError([f"{what} {path} cannot be read: {exc}"]) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError([f"{what} {path} is not valid JSON: {exc}"]) from None
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return config_from_dict(read_json_file(path, "config file"))
+    return config_from_dict(read_json_file(path, "config file"), f"config file {path}")

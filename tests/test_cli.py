@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from causalpipe import cli
+from causalpipe.discovery import DiscoveryParams
 from causalpipe.scm_bench import Edge, SCMSpec, generate
+from causalpipe.stats import KernelRegParams
 from causalpipe.timeseries import read_csv, write_csv
 
 
@@ -215,6 +217,56 @@ def test_bench_rejects_unknown_method(tmp_path):
                                   "specs": [{"n_vars": 1, "edges": []}]}))
     rc = cli.main(["bench", "--config", str(config), "--quiet"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("text", ["[1, 2]", "5"])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, command, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = cli.main([command, "--config", str(config), "--out", str(tmp_path / "o"),
+                   "--quiet"])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{config} must be a JSON object" in capsys.readouterr().err
+
+
+ONE_SPEC = {"specs": [{"n_vars": 1}]}
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ({"specs": 5}, "specs must be a JSON array"),
+    ({"specs": [5]}, "specs[0] must be a JSON object"),
+    ({**ONE_SPEC, "methods": 5}, "methods must be a non-empty JSON array"),
+    ({**ONE_SPEC, "methods": []}, "methods must be a non-empty JSON array"),
+    ({**ONE_SPEC, "seeds": "x"}, "seeds must be an integer >= 1, got a string"),
+    ({**ONE_SPEC, "seeds": 2.0}, "seeds must be an integer >= 1, got the number 2.0"),
+    ({**ONE_SPEC, "seeds": True}, "seeds must be an integer >= 1, got a boolean"),
+    ({**ONE_SPEC, "seed": 1.5}, "seed must be an integer, got the number 1.5"),
+    ({**ONE_SPEC, "seed": False}, "seed must be an integer, got a boolean"),
+    ({**ONE_SPEC, "discovery": [1]}, "discovery must be a JSON object, got an array"),
+    ({**ONE_SPEC, "discovery": {"bogus": 1}}, "discovery: "),
+    ({**ONE_SPEC, "discovery": {"alpha": 2.0}}, "discovery: alpha must be in (0,1)"),
+    ({**ONE_SPEC, "discovery": {"kridge": {"ridge": 0}}}, "discovery: ridge must be > 0"),
+])
+def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
+        tmp_path, monkeypatch, capsys, payload, problem):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran on an invalid config")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(payload))
+    assert cli.main(["bench", "--config", str(config), "--quiet"]) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+
+
+def test_bench_discovery_overrides_become_one_params(tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({**ONE_SPEC, "discovery": {
+        "alpha": 0.1, "kridge": {"permutations": 60}}}))
+    discovery = cli._parse_bench_config(config, None)["discovery"]
+    assert discovery == DiscoveryParams(tau_min=1, tau_max=1, alpha=0.1,
+                                        kridge=KernelRegParams(permutations=60))
 
 
 def test_quiet_abort_leaves_backlog(tmp_path):

@@ -1,8 +1,22 @@
+import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
-from causalpipe.config import config_from_dict, config_to_dict, default_config
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from causalpipe import cli
+from causalpipe.cli import BENCH_METHODS
+from causalpipe.collector import CollectorConfig
+from causalpipe.config import (ConfigError, ScenarioConfig, config_from_dict,
+                               config_to_dict, default_config, load_config)
+from causalpipe.discovery import DiscoveryParams
+from causalpipe.postprocess import RiskParams
+from causalpipe.scm_bench import Edge, SCMSpec
+from causalpipe.sim import RobotPath, SFMParams
+from causalpipe.stats import KernelRegParams, TEParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +43,94 @@ def test_readme_config_matches_the_code():
     assert _key_paths(documented) == _key_paths(config_to_dict(default_config()))
     # "defaults shown": the documented values are the defaults
     assert config_to_dict(config) == config_to_dict(default_config())
+
+
+# --- configs never crash -------------------------------------------------------
+
+# Keys the parsers know, so that drawn objects reach into sections and fields.
+KNOWN_KEYS = sorted(
+    {f.name for cls in (ScenarioConfig, CollectorConfig, DiscoveryParams, KernelRegParams,
+                        TEParams, RiskParams, SFMParams, RobotPath, SCMSpec, Edge)
+     for f in dataclasses.fields(cls)}
+    | {"specs", "methods", "seeds"})
+
+# Integers stay below the sizes whose allocation a parser would attempt (a
+# bench spec's n_vars sizes a tuple), except for values past any index size.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-10**6, max_value=10**6)
+    | st.sampled_from([2**63, 10**400, -10**400])
+    | st.text(max_size=8) | st.sampled_from([*BENCH_METHODS, "linear", "hri_basic"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(KNOWN_KEYS) | st.text(max_size=8),
+                                        children, max_size=5)),
+    max_leaves=24)
+
+
+def object_of(cls):
+    """JSON objects keyed by the fields of a dataclass."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), json_values, max_size=4)
+
+
+# Documents shaped like a scenario config or a bench config, with arbitrary
+# values in their fields; a document with one key reaches the checks that run
+# only when every other key is valid.
+CONFIG_KEYS = {
+    "collector": object_of(CollectorConfig), "discovery": object_of(DiscoveryParams),
+    "te": object_of(TEParams), "risk": object_of(RiskParams), "sfm": object_of(SFMParams),
+    "robot_path": object_of(RobotPath), "duration": json_values, "seed": json_values,
+    "output_dir": json_values}
+BENCH_KEYS = {
+    "specs": st.lists(object_of(SCMSpec), max_size=3), "methods": json_values,
+    "seeds": json_values, "seed": json_values, "discovery": object_of(DiscoveryParams)}
+shaped = st.one_of([st.fixed_dictionaries({}, optional=keys) for keys in (CONFIG_KEYS, BENCH_KEYS)]
+                   + [values.map(lambda v, key=key: {key: v})
+                      for keys in (CONFIG_KEYS, BENCH_KEYS) for key, values in keys.items()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=json_values | shaped)
+def test_config_parsers_return_or_raise_config_error(payload):
+    parsers = (config_from_dict, load_config,
+               lambda path: cli._parse_bench_config(path, None))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        for parse, arg in zip(parsers, (payload, path, path)):
+            try:
+                parse(arg)
+            except ConfigError:
+                pass
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ({"collector": [1]}, "collector must be a JSON object, got an array"),
+    ({"discovery": {"kridge": 5}}, "kridge must be a JSON object"),
+    ({"discovery": {"kridge": {"ridge": "x"}}}, "discovery:"),
+    ({"robot_path": {"waypoints": [[10**400, 0.0], [1.0, 1.0]]}}, "robot_path:"),
+    ({"collector": {"postprocessor": [1]}}, "unknown postprocessor [1]"),
+    ({"duration": "150"}, "duration must be a finite number, got a string"),
+    ({"duration": float("nan")}, "duration must be a finite number"),
+    ({"seed": True}, "seed must be an integer, got a boolean"),
+    ({"seed": 1.5}, "seed must be an integer, got the number 1.5"),
+    ({"output_dir": 5}, "output_dir must be a string"),
+])
+def test_bad_config_is_a_config_error(payload, problem):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(payload)
+    assert any(problem in p for p in info.value.problems), info.value.problems
+
+
+def test_robot_path_section_without_waypoints_keeps_the_default_path():
+    config = config_from_dict({"robot_path": {"cruise_speed": 0.8}})
+    assert config.robot_path == RobotPath(cruise_speed=0.8)
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"seed": "\xe9"}')
+    with pytest.raises(ConfigError, match="is not valid JSON"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_config(tmp_path)

@@ -272,6 +272,34 @@ def test_parcorr_constant_series_guarded():
     assert result.p_value == 1.0
 
 
+def parcorr_p_reference(r: float, dof: int) -> float:
+    """The Student-t p-value through scipy.stats, as parcorr_test computed it
+    before it called the special function directly."""
+    if 1.0 - r * r < 1e-15:
+        return stats._P_FLOOR
+    t = r * math.sqrt(dof / (1.0 - r * r))
+    return max(float(2.0 * sps.t.sf(abs(t), dof)), stats._P_FLOOR)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=12, max_value=600),
+       k=st.integers(min_value=0, max_value=3),
+       coupling=st.floats(min_value=-3.0, max_value=3.0),
+       noise=st.sampled_from([1.0, 0.3, 1e-1, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 0.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_parcorr_p_value_is_the_scipy_stats_bits(n, k, coupling, noise, seed):
+    # small noise puts |r| near 1: large t, underflowing tails and the floor
+    rng = np.random.default_rng(seed)
+    Z = [rng.normal(size=n) for _ in range(k)]
+    x = rng.normal(size=n) + sum(0.5 * z for z in Z)
+    y = coupling * x + noise * rng.normal(size=n) + sum(0.3 * z for z in Z)
+    result = parcorr_test(x, y, Z)
+    if result == stats.INDEPENDENT:
+        return
+    expected = parcorr_p_reference(result.statistic, n - k - 2)
+    assert result.p_value.hex() == expected.hex()
+
+
 # --- kernel ridge ---------------------------------------------------------------
 
 def test_kernel_ridge_fits_smooth_signal():
