@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import scm_bench
 from .config import (PARSE_ERRORS, ConfigError, ScenarioConfig, default_config,
-                     discovery_params, is_integer, json_kind, load_config,
+                     discovery_params, from_json, is_integer, json_kind, load_config,
                      read_json_file)
 from .discovery import DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
@@ -166,8 +166,8 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
             continue
         try:
             raw = dict(raw)
-            raw["edges"] = tuple(tuple(e) for e in raw.get("edges", ()))
-            specs.append(scm_bench.SCMSpec(**raw))
+            raw["edges"] = tuple(from_json(scm_bench.Edge, *e) for e in raw.get("edges", ()))
+            specs.append(from_json(scm_bench.SCMSpec, **raw))
         except PARSE_ERRORS as exc:
             problems.append(f"specs[{i}]: {exc}")
     if not specs:

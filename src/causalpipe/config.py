@@ -17,6 +17,7 @@ from pathlib import Path
 from .collector import CollectorConfig
 from .discovery import DiscoveryParams
 from .postprocess import POSTPROCESSORS, RiskParams
+from .scm_bench import Edge, SCMSpec
 from .sim import RobotPath, SFMParams
 from .stats import KernelRegParams, TEParams
 
@@ -102,13 +103,35 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Integer fields that their dataclass checks by comparison only: a float or a
+# boolean would pass it and fail later, in the middle of an analysis.
+_INTEGER_FIELDS = {
+    DiscoveryParams: ("tau_min", "tau_max", "max_conditions"),
+    TEParams: ("k", "bins", "shuffles"),
+    KernelRegParams: ("permutations",),
+    SCMSpec: ("n_vars", "n_samples"),
+    Edge: ("source", "target", "lag"),
+}
+
+
+def from_json(cls, /, *values, **fields):
+    """cls(*values, **fields) from a JSON array's values or a JSON object's
+    fields; an integer field holding anything but a JSON integer is a
+    TypeError that names the field."""
+    given = dict(zip((f.name for f in dataclasses.fields(cls)), values)) | fields
+    for name in _INTEGER_FIELDS.get(cls, ()):
+        if name in given and not is_integer(given[name]):
+            raise TypeError(f"{name} must be an integer, got {json_kind(given[name])}")
+    return cls(*values, **fields)
+
+
 def discovery_params(**fields) -> DiscoveryParams:
     """DiscoveryParams from a JSON object's fields, with a nested `kridge` object."""
     if "kridge" in fields:
         if not isinstance(fields["kridge"], dict):
             raise TypeError(f"kridge must be a JSON object, got {json_kind(fields['kridge'])}")
-        fields["kridge"] = KernelRegParams(**fields["kridge"])
-    return DiscoveryParams(**fields)
+        fields["kridge"] = from_json(KernelRegParams, **fields["kridge"])
+    return from_json(DiscoveryParams, **fields)
 
 
 def _robot_path(**fields) -> RobotPath:
@@ -121,7 +144,7 @@ def _robot_path(**fields) -> RobotPath:
 _SECTIONS = {
     "collector": CollectorConfig,
     "discovery": discovery_params,
-    "te": TEParams,
+    "te": lambda **fields: from_json(TEParams, **fields),
     "risk": RiskParams,
     "sfm": SFMParams,
     "robot_path": _robot_path,

@@ -541,19 +541,20 @@ def _dot_source(model: CausalModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_model(model: CausalModel, format: str, path: str | Path) -> None:
-    """Write the model as pretty JSON (full tensors) or Graphviz DOT.
+def export_model(model: CausalModel, format: str, path: str | Path) -> bytes:
+    """Write the model as pretty JSON (full tensors) or Graphviz DOT;
+    returns the bytes written.
 
     DOT edges are labeled with their lag and drawn with pen width
     proportional to |val|. The file is replaced atomically: a failed write
     leaves any earlier file at `path` as it was.
     """
     if format == "json":
-        write_atomic(path, json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n")
-    elif format == "dot":
-        write_atomic(path, _dot_source(model))
-    else:
-        raise ValueError(f"unknown export format {format!r} (expected json or dot)")
+        return write_atomic(path, json.dumps(model_to_dict(model), sort_keys=True, indent=2)
+                            + "\n")
+    if format == "dot":
+        return write_atomic(path, _dot_source(model))
+    raise ValueError(f"unknown export format {format!r} (expected json or dot)")
 
 
 # --- pool watcher ------------------------------------------------------------
@@ -577,7 +578,8 @@ class PoolWatcher:
     CausalModel on the bus, then deletes the file. Files that cannot be read
     or analysed are moved to a quarantine subdirectory and never silently
     deleted. Runs either inline (process_once / drain) or in a background
-    thread (start / stop).
+    thread (start / stop); wake() makes that thread scan at once instead of
+    at the end of its poll_interval.
     """
 
     def __init__(self, pool_dir: str | Path, params: DiscoveryParams,
@@ -597,12 +599,16 @@ class PoolWatcher:
         self.published = 0
         self.quarantined = 0
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._work_lock = threading.Lock()  # strictly sequential processing
 
     def _pending(self) -> list[Path]:
-        return sorted(p for p in self.pool_dir.iterdir()
-                      if p.is_file() and p.suffix == ".csv")
+        # one listdir, and a stat only for the names that could be batches:
+        # every system call here may wait a switch interval for the lock
+        names = sorted(n for n in os.listdir(self.pool_dir)
+                       if n.endswith(".csv") and n != ".csv")  # as Path.suffix
+        return [p for p in (self.pool_dir / n for n in names) if p.is_file()]
 
     def _quarantine(self, path: Path) -> None:
         if not path.exists():
@@ -664,14 +670,22 @@ class PoolWatcher:
                                         daemon=True)
         self._thread.start()
 
+    def wake(self) -> None:
+        """Tell the background thread a file may have landed, so it scans
+        now instead of at the end of its poll_interval."""
+        self._wake.set()
+
     def _run(self) -> None:
         while not self._stop.is_set():
+            # cleared before the scan, so a wake() during it is not lost
+            self._wake.clear()
             if self.process_once() is None:
-                self._stop.wait(self.poll_interval)
+                self._wake.wait(self.poll_interval)
 
     def stop(self) -> None:
         if self._thread is None:
             return
         self._stop.set()
+        self._wake.set()
         self._thread.join()
         self._thread = None

@@ -13,7 +13,9 @@ A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
 file waited for the watcher. Landing times are taken on the simulation
 loop: after each collector tick, every file newly appended to
-`collector.files_written` is stamped with the current time.
+`collector.files_written` is stamped with the current time, and the watcher
+is woken to take it. The manifest's checksums are of the bytes each model
+file was written with, not read back from disk.
 """
 
 from __future__ import annotations
@@ -48,17 +50,14 @@ class PipelineResult:
     quarantined: int = 0
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _export_pair(model: CausalModel, out_dir: Path, stem: str) -> tuple[Path, Path]:
-    """Write `<stem>.json` and `<stem>.dot` into `out_dir`."""
+def _export_pair(model: CausalModel, out_dir: Path,
+                 stem: str) -> tuple[tuple[Path, Path], tuple[bytes, bytes]]:
+    """Write `<stem>.json` and `<stem>.dot` into `out_dir`; returns both
+    paths and the bytes written to each."""
     json_path = out_dir / f"{stem}.json"
     dot_path = out_dir / f"{stem}.dot"
-    export_model(model, "json", json_path)
-    export_model(model, "dot", dot_path)
-    return json_path, dot_path
+    written = export_model(model, "json", json_path), export_model(model, "dot", dot_path)
+    return (json_path, dot_path), written
 
 
 def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineResult:
@@ -92,7 +91,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     def on_model(model: CausalModel, csv_path: Path) -> None:
         stem = f"model_{int(model.batch_id):05d}" if model.batch_id.isdigit() \
             else f"model_{model.batch_id}"
-        json_path, dot_path = _export_pair(model, out_dir, stem)
+        (json_path, dot_path), (json_bytes, dot_bytes) = _export_pair(model, out_dir, stem)
         written = time_mod.perf_counter()
         result.models.append(model)
         result.model_files.append((json_path, dot_path))
@@ -102,19 +101,21 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
             "discovery_seconds": round(written - landed.get(csv_path.name, written), 6),
             "model_json": json_path.name,
             "model_dot": dot_path.name,
-            "sha256_json": _sha256(json_path),
-            "sha256_dot": _sha256(dot_path),
+            "sha256_json": hashlib.sha256(json_bytes).hexdigest(),
+            "sha256_dot": hashlib.sha256(dot_bytes).hexdigest(),
             "edges": sorted([src, dst, lag] for src, dst, lag in model.named_edges()),
         })
         log.info("batch %s -> %d edges", model.batch_id, len(model.named_edges()))
 
-    watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus,
-                          on_model=on_model, poll_interval=0.02)
+    watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus, on_model=on_model)
 
     def tick(now: float) -> None:
         collector.tick(now)
-        for path in collector.files_written[len(landed):]:
+        new_files = collector.files_written[len(landed):]
+        for path in new_files:
             landed[path.name] = time_mod.perf_counter()
+        if new_files:
+            watcher.wake()
 
     started = time_mod.perf_counter()
     watcher.start()
@@ -160,4 +161,4 @@ def discover_csv(csv_path: str | Path, params, te_params, output_dir: str | Path
     batch = read_csv(csv_path)
     model = discover(batch, params, te_params,
                      batch_id=batch_id if batch_id is not None else batch_id_for(csv_path))
-    return _export_pair(model, out_dir, f"{csv_path.stem}_model")
+    return _export_pair(model, out_dir, f"{csv_path.stem}_model")[0]

@@ -256,7 +256,12 @@ class Simulator:
         fx = ax + rx
         fy = ay + ry
         if sfm.noise_accel > 0:
-            nx, ny = w.rng.standard_normal(2).tolist()
+            # Two scalar draws give the same doubles and generator state as
+            # one standard_normal(2). A sized draw drops and retakes the
+            # interpreter lock, and doing that every step keeps a waiting
+            # thread (the pool watcher) from ever getting it.
+            nx = w.rng.standard_normal()
+            ny = w.rng.standard_normal()
             fx = fx + sfm.noise_accel * nx
             fy = fy + sfm.noise_accel * ny
         vx = vx + fx * dt

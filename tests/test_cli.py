@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from causalpipe import cli
-from causalpipe.discovery import DiscoveryParams
+from causalpipe.discovery import DiscoveryParams, PoolWatcher
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams
 from causalpipe.timeseries import read_csv, write_csv
@@ -45,6 +46,33 @@ def test_run_emits_model_pair_and_manifest(tmp_path):
     assert "generator_seconds" not in (out / "model_00000.json").read_text()
     # pool drained on shutdown
     assert list((out / "pool").glob("*.csv")) == []
+
+
+def test_manifest_digests_are_of_the_model_files_on_disk(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
+    rows = json.loads((out / "manifest.json").read_text())["batches"]
+    assert len(rows) == 3
+    for row in rows:
+        for kind in ("json", "dot"):
+            on_disk = hashlib.sha256((out / row[f"model_{kind}"]).read_bytes()).hexdigest()
+            assert row[f"sha256_{kind}"] == on_disk, (row["batch_id"], kind)
+
+
+def test_the_watcher_is_woken_once_per_landed_csv(tmp_path, monkeypatch):
+    wakes = []
+    wake = PoolWatcher.wake
+
+    def counting_wake(self):
+        wakes.append(self)
+        wake(self)
+
+    monkeypatch.setattr(PoolWatcher, "wake", counting_wake)
+    out = tmp_path / "out"
+    assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["csv_files_written"] == 3
+    assert len(wakes) == 3
 
 
 def test_failed_manifest_replace_keeps_old_manifest(tmp_path, monkeypatch):
@@ -247,6 +275,18 @@ ONE_SPEC = {"specs": [{"n_vars": 1}]}
     ({**ONE_SPEC, "discovery": {"bogus": 1}}, "discovery: "),
     ({**ONE_SPEC, "discovery": {"alpha": 2.0}}, "discovery: alpha must be in (0,1)"),
     ({**ONE_SPEC, "discovery": {"kridge": {"ridge": 0}}}, "discovery: ridge must be > 0"),
+    ({**ONE_SPEC, "discovery": {"tau_max": 1.5}},
+     "discovery: tau_max must be an integer, got the number 1.5"),
+    ({**ONE_SPEC, "discovery": {"kridge": {"permutations": True}}},
+     "discovery: permutations must be an integer, got a boolean"),
+    ({"specs": [{"n_vars": 2.0}]}, "specs[0]: n_vars must be an integer, got the number 2.0"),
+    ({"specs": [{"n_vars": True}]}, "specs[0]: n_vars must be an integer, got a boolean"),
+    ({"specs": [{"n_vars": 1, "n_samples": 300.5}]},
+     "specs[0]: n_samples must be an integer, got the number 300.5"),
+    ({"specs": [{"n_vars": 2, "edges": [[0, 1, 1.0, 0.8]]}]},
+     "specs[0]: lag must be an integer, got the number 1.0"),
+    ({"specs": [{"n_vars": 2, "edges": [[0, True, 1, 0.8]]}]},
+     "specs[0]: target must be an integer, got a boolean"),
 ])
 def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
         tmp_path, monkeypatch, capsys, payload, problem):
@@ -258,6 +298,26 @@ def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
     config.write_text(json.dumps(payload))
     assert cli.main(["bench", "--config", str(config), "--quiet"]) == cli.EXIT_VALIDATION
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("discovery", "tau_min", 1.0), ("discovery", "tau_max", 1.5),
+    ("discovery", "max_conditions", True), ("te", "k", 1.0), ("te", "bins", 8.0),
+    ("te", "shuffles", False),
+])
+def test_run_with_a_non_integer_field_exits_1_before_any_batch(tmp_path, capsys, section,
+                                                               field, value):
+    # the field used to pass the parser; every batch was then quarantined
+    # and the run exited 0
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    payload = {"duration": 24, "output_dir": str(out), "collector": {"batch_seconds": 24},
+               "discovery": {"ci_test": "parcorr"}}
+    payload.setdefault(section, {})[field] = value
+    config.write_text(json.dumps(payload))
+    assert cli.main(["run", "--config", str(config), "--quiet"]) == cli.EXIT_VALIDATION
+    assert f"{section}: {field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_discovery_overrides_become_one_params(tmp_path):

@@ -122,6 +122,39 @@ def test_bad_config_is_a_config_error(payload, problem):
     assert any(problem in p for p in info.value.problems), info.value.problems
 
 
+# Every integer field the dataclasses compare but do not type-check, with a
+# float and a boolean: each must be a ConfigError that names the field.
+INTEGER_FIELD_CASES = [
+    ({"discovery": {"tau_min": 1.0}}, "tau_min", "the number 1.0"),
+    ({"discovery": {"tau_max": 1.5}}, "tau_max", "the number 1.5"),
+    ({"discovery": {"tau_max": True}}, "tau_max", "a boolean"),
+    ({"discovery": {"max_conditions": 3.0}}, "max_conditions", "the number 3.0"),
+    ({"discovery": {"max_conditions": False}}, "max_conditions", "a boolean"),
+    ({"discovery": {"kridge": {"permutations": 200.0}}}, "permutations", "the number 200.0"),
+    ({"te": {"k": 1.0}}, "k", "the number 1.0"),
+    ({"te": {"bins": 8.5}}, "bins", "the number 8.5"),
+    ({"te": {"bins": True}}, "bins", "a boolean"),
+    ({"te": {"shuffles": 100.0}}, "shuffles", "the number 100.0"),
+]
+
+
+@pytest.mark.parametrize("payload, field, kind", INTEGER_FIELD_CASES)
+def test_integer_field_rejects_floats_and_booleans(payload, field, kind):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(payload)
+    section = next(iter(payload))
+    assert info.value.problems == [f"{section}: {field} must be an integer, got {kind}"]
+
+
+def test_integer_fields_accept_json_integers():
+    config = config_from_dict({"discovery": {"tau_max": 2, "max_conditions": 0,
+                                             "kridge": {"permutations": 60}},
+                               "te": {"k": 2, "bins": 4, "shuffles": 10}})
+    assert (config.discovery.tau_max, config.discovery.max_conditions) == (2, 0)
+    assert config.discovery.kridge.permutations == 60
+    assert config.te == TEParams(k=2, bins=4, shuffles=10)
+
+
 def test_robot_path_section_without_waypoints_keeps_the_default_path():
     config = config_from_dict({"robot_path": {"cruise_speed": 0.8}})
     assert config.robot_path == RobotPath(cruise_speed=0.8)

@@ -5,6 +5,8 @@ import logging
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -677,13 +679,77 @@ def test_watcher_background_thread_processes(tmp_path):
     write_pool_file(pool, 0, seed=1)
     watcher = PoolWatcher(pool, PARCORR, poll_interval=0.01)
     watcher.start()
-    import time
     deadline = time.time() + 5.0
     while time.time() < deadline and watcher.published < 1:
         time.sleep(0.01)
     watcher.stop()
     assert watcher.published == 1
     assert list(pool.glob("*.csv")) == []
+
+
+def test_watcher_quarantines_invalid_utf8(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    bad = pool / "data_00000_000000000000.csv"
+    bad.write_bytes(b"a,b\n1.0,2.0\n\xff\xfe,1.0\n")
+    write_pool_file(pool, 1, seed=3)
+    watcher = PoolWatcher(pool, PARCORR)
+    assert [m.batch_id for m in watcher.drain()] == ["1"]
+    assert [p.name for p in (pool / "quarantine").iterdir()] == [bad.name]
+    assert (watcher.quarantined, watcher.published) == (1, 1)
+
+
+def started_idle_watcher(pool):
+    """A background watcher with a 60 s poll that has scanned the empty pool
+    once and is waiting, and the list its scans are counted in."""
+    watcher = PoolWatcher(pool, PARCORR, poll_interval=60.0)
+    scans = []
+    scanned = threading.Event()
+    pending = watcher._pending
+
+    def spy():
+        found = pending()
+        scans.append(len(found))
+        scanned.set()
+        return found
+
+    watcher._pending = spy
+    watcher.start()
+    assert scanned.wait(5.0)
+    return watcher, scans
+
+
+def test_wake_makes_a_waiting_watcher_take_a_dropped_file(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    watcher, scans = started_idle_watcher(pool)
+    try:
+        write_pool_file(pool, 0, seed=1)
+        time.sleep(0.3)
+        assert watcher.published == 0  # not before its poll ends or a wake
+        woken = time.perf_counter()
+        watcher.wake()
+        while watcher.published < 1 and time.perf_counter() - woken < 2.0:
+            time.sleep(0.005)
+        assert watcher.published == 1
+        assert list(pool.glob("*.csv")) == []
+        # one wake is spent: after one more scan of the empty pool it waits again
+        time.sleep(0.3)
+        assert len(scans) <= 4, scans
+    finally:
+        watcher.stop()
+
+
+def test_stop_returns_while_the_watcher_waits(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    watcher, _ = started_idle_watcher(pool)
+    waiting = watcher._thread
+    stopper = threading.Thread(target=watcher.stop)
+    stopper.start()
+    stopper.join(2.0)  # well inside the 60 s poll
+    assert not stopper.is_alive()
+    assert not waiting.is_alive()
 
 
 def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, caplog):

@@ -193,6 +193,39 @@ def test_human_steps_equal_the_vector_form_over_a_long_run():
     assert len(goals) > 2
 
 
+# Where each draw the simulator makes takes its `size`, by position.
+SIZE_POSITION = {"random": 0, "standard_normal": 0, "uniform": 2}
+
+
+class RecordingRng:
+    """A Generator whose draws are recorded as (method, args, kwargs)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self.draws.append((name, args, kwargs))
+            return method(*args, **kwargs)
+        return record
+
+
+def test_no_draw_during_a_step_passes_a_size():
+    # a sized draw releases the interpreter lock; the simulator draws scalars
+    config = default_config()
+    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed)
+    rng = sim.world.rng = RecordingRng(sim.world.rng)
+    for _ in range(6000):
+        sim.step(SIM_DT)
+    assert {name for name, _, _ in rng.draws} == set(SIZE_POSITION)  # every kind was made
+    sized = [(name, args, kwargs) for name, args, kwargs in rng.draws
+             if "size" in kwargs or len(args) > SIZE_POSITION[name]]
+    assert sized == []
+
+
 # --- stepping ------------------------------------------------------------------
 
 def test_speed_ramps_to_desired_speed_within_five_seconds():

@@ -1,10 +1,13 @@
+import math
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from causalpipe.timeseries import (CsvFormatError, TimeSeriesBatch, read_csv, write_atomic,
-                                   write_csv)
+from causalpipe.timeseries import (TIME_COLUMN, CsvFormatError, TimeSeriesBatch, read_csv,
+                                   write_atomic, write_csv)
 
 
 def make_batch(rows, names=None):
@@ -153,3 +156,138 @@ def test_atomic_write_gets_plain_open_permissions(tmp_path):
     write_atomic(atomic, "x\n")
     assert atomic.read_bytes() == plain.read_bytes()
     assert atomic.stat().st_mode == plain.stat().st_mode
+
+
+# --- the I/O path against text-mode files ---------------------------------------
+
+NON_ASCII = "h_v,h_dg,h_ü\n0.5,-1e-300,∆ 😀\r\nend\rx\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("text", ["x\n", "", NON_ASCII])
+def test_atomic_write_equals_a_text_mode_open(tmp_path, umask, text):
+    previous = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        atomic = tmp_path / "atomic.txt"
+        written = write_atomic(atomic, text)
+    finally:
+        os.umask(previous)
+    assert atomic.read_bytes() == plain.read_bytes() == written
+    assert atomic.stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_atomic_write_leaves_no_part_file(tmp_path, monkeypatch, failing):
+    target = tmp_path / "model.json"
+    target.write_bytes(b"old\n")
+
+    def fail(*args):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, failing, fail)
+    with pytest.raises(OSError, match="injected"):
+        write_atomic(target, NON_ASCII)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+    assert target.read_bytes() == b"old\n"
+
+
+def read_csv_text_mode(path):
+    """read_csv as it was when it read the file in text mode; the reference
+    for the lines that read_csv takes from the file's bytes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw_lines = fh.read().splitlines()
+    if not raw_lines or not raw_lines[0].strip():
+        raise CsvFormatError(f"{path.name}: missing header")
+    names = [c.strip() for c in raw_lines[0].split(",")]
+    if any(not n for n in names):
+        raise CsvFormatError(f"{path.name}: line 1: empty header field")
+    data = []
+    for lineno, line in enumerate(raw_lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise CsvFormatError(f"{path.name}: line {lineno}: expected {len(names)} "
+                                 f"columns, got {len(cells)}")
+        row = []
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path.name}: line {lineno}: non-numeric cell {cell.strip()!r}") from None
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{path.name}: line {lineno}: non-finite cell {cell.strip()!r}")
+            row.append(value)
+        data.append(row)
+    rows = np.asarray(data, dtype=np.float64).reshape(len(data), len(names))
+    t0, dt = 0.0, 1.0
+    if TIME_COLUMN in names and len(data) >= 1:
+        t = rows[:, names.index(TIME_COLUMN)]
+        t0 = float(t[0])
+        if len(t) >= 2:
+            dt = float(np.median(np.diff(t)))
+    return TimeSeriesBatch(variable_names=names, t0=t0, dt=dt, rows=rows)
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its batch's exact contents, or its error."""
+    try:
+        batch = read(path)
+    except ValueError as exc:  # CsvFormatError, UnicodeDecodeError, bad batch
+        return type(exc).__name__, str(exc)
+    return (batch.variable_names, float(batch.t0).hex(), float(batch.dt).hex(),
+            batch.rows.shape, [float(v).hex() for v in batch.rows.ravel()])
+
+
+number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+junk = st.sampled_from(["", " ", "x", "nan", "-inf", " 1.5 ", "1e400", "ü"])
+line_end = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV-like text with mixed line ends and blank lines; most rows parse."""
+    name = st.sampled_from([TIME_COLUMN, "h_v", "h_dg", "ü", " b "])
+    if draw(st.integers(0, 9)):
+        names = draw(st.lists(name, min_size=1, max_size=3, unique=True))
+    else:  # an empty or duplicated header field
+        names = draw(st.lists(name | st.just(""), min_size=1, max_size=3))
+    width = len(names)
+    rows = {0: st.lists(number | junk, min_size=width, max_size=width),
+            1: st.lists(number, min_size=1, max_size=4)}  # often ragged
+    full = st.lists(number, min_size=width, max_size=width)
+    parts = [",".join(names), draw(line_end)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind == 2:
+            text = draw(st.sampled_from(["", "  ", "\t"]))  # blank lines are skipped
+        else:
+            text = ",".join(draw(rows.get(kind, full)))
+        parts += [text, draw(line_end)]
+    if draw(st.booleans()):
+        parts.pop()  # no line end after the last line
+    return "".join(parts)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+@example(text="time,a\r\n0.0,1.0\r\n\r0.3,2.0\r\n")
+@example(text="time,a\r0.0,1.0\r\r\n0.3,2.0")
+def test_read_csv_reads_what_text_mode_reads(tmp_path, text):
+    path = tmp_path / "batch.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_csv, path) == outcome(read_csv_text_mode, path)
+
+
+def test_read_csv_rejects_invalid_utf8_as_text_mode_does(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1.0,2.0\n\xe9,1.0\n")
+    assert outcome(read_csv, path) == outcome(read_csv_text_mode, path)
+    assert outcome(read_csv, path)[0] == "UnicodeDecodeError"
