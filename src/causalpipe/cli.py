@@ -5,7 +5,8 @@ Subcommands
     discover  causal discovery on an existing CSV (file is kept)
     bench     synthetic ground-truth benchmark over seeds and methods
 
-Exit codes: 0 success, 1 invalid input/config, 2 runtime failure.
+Exit codes: 0 success, 1 invalid input/config (a flag is checked like the
+config field it sets), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import time as time_mod
 from pathlib import Path
 
 from . import scm_bench
-from .config import (PARSE_ERRORS, ConfigError, ScenarioConfig, default_config,
-                     discovery_params, from_json, is_integer, json_kind, load_config,
+from .config import (ConfigError, ScenarioConfig, config_from_dict, config_to_dict,
+                     default_config, fields_from_json, is_integer, json_kind,
                      read_json_file)
-from .discovery import DiscoveryParams, discover
+from .discovery import DiscoveryError, DiscoveryParams, discover
 from .pipeline import discover_csv, run_pipeline
 from .stats import TEParams
 from .timeseries import CsvFormatError
@@ -88,43 +89,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    disc: dict = {}
-    if args.alpha is not None:
-        disc["alpha"] = args.alpha
-    if args.tau_min is not None:
-        disc["tau_min"] = args.tau_min
-    if args.tau_max is not None:
-        disc["tau_max"] = args.tau_max
-    if args.citest is not None:
-        disc["ci_test"] = args.citest.replace("-", "_")
-    if args.method is not None:
-        disc["method"] = args.method
-    if args.seed is not None:
-        disc["seed"] = args.seed
-        config.seed = args.seed
-    if disc:
-        config.discovery = dataclasses.replace(config.discovery, **disc)
-    coll: dict = {}
-    if getattr(args, "dt", None) is not None:
-        coll["dt"] = args.dt
-    if getattr(args, "batch_seconds", None) is not None:
-        coll["batch_seconds"] = args.batch_seconds
-    if coll:
-        config.collector = dataclasses.replace(config.collector, **coll)
-    if getattr(args, "duration", None) is not None:
-        config.duration = args.duration
-    if getattr(args, "out", None) is not None:
-        config.output_dir = Path(args.out)
-        config.collector = dataclasses.replace(config.collector,
-                                               pool_dir=Path(args.out) / "pool")
-    return config
-
-
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The --config file, or the default config, with the flags applied."""
-    config = load_config(args.config) if args.config is not None else default_config()
-    return _apply_overrides(config, args)
+    """The --config document, or the default config's, with the flags written
+    over its fields and parsed as one document, so a flag is checked exactly
+    like the field it sets."""
+    if args.config is None:
+        payload, what = config_to_dict(default_config()), "config"
+    else:
+        payload, what = read_json_file(args.config, "config file"), f"config file {args.config}"
+    out = getattr(args, "out", None)
+    flags = {
+        "duration": getattr(args, "duration", None), "seed": args.seed,
+        "output_dir": None if out is None else str(out),
+        "collector": {"dt": getattr(args, "dt", None),
+                      "batch_seconds": getattr(args, "batch_seconds", None),
+                      "pool_dir": None if out is None else str(out / "pool")},
+        "discovery": {"alpha": args.alpha, "tau_min": args.tau_min, "tau_max": args.tau_max,
+                      "ci_test": args.citest and args.citest.replace("-", "_"),
+                      "method": args.method, "seed": args.seed},
+    }
+    if isinstance(payload, dict):
+        _write_flags(payload, flags)
+    return config_from_dict(payload, what)
+
+
+def _write_flags(document: dict, flags: dict) -> None:
+    """Write each flag that was given over the field of the same name; a
+    section that is not an object is left for the parser to report."""
+    for name, value in flags.items():
+        if isinstance(value, dict):
+            section = document.setdefault(name, {})
+            if isinstance(section, dict):
+                _write_flags(section, value)
+        elif value is not None:
+            document[name] = value
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -138,11 +136,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    if not args.csv.exists():
-        print(f"error: file not found: {args.csv}", file=sys.stderr)
+    if not args.csv.is_file():
+        problem = "not a file" if args.csv.exists() else "file not found"
+        print(f"error: {problem}: {args.csv}", file=sys.stderr)
         return EXIT_VALIDATION
     config = _load_config(args)
-    json_path, dot_path = discover_csv(args.csv, config.discovery, config.te, args.out)
+    try:
+        json_path, dot_path = discover_csv(args.csv, config.discovery, config.te, args.out)
+    except UnicodeDecodeError as exc:  # from read_csv, as from a text-mode reader
+        raise CsvFormatError(f"{args.csv.name}: not UTF-8 text: {exc}") from None
     if not args.quiet:
         print(f"model written: {json_path}")
         print(f"graph written: {dot_path}")
@@ -159,17 +161,15 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
     if not isinstance(raw_specs, list):
         problems.append(f"specs must be a JSON array, got {json_kind(raw_specs)}")
         raw_specs = []
-    specs = []
-    for i, raw in enumerate(raw_specs):
-        if not isinstance(raw, dict):
-            problems.append(f"specs[{i}] must be a JSON object, got {json_kind(raw)}")
-            continue
-        try:
-            raw = dict(raw)
-            raw["edges"] = tuple(from_json(scm_bench.Edge, *e) for e in raw.get("edges", ()))
-            specs.append(from_json(scm_bench.SCMSpec, **raw))
-        except PARSE_ERRORS as exc:
-            problems.append(f"specs[{i}]: {exc}")
+    overrides = payload.get("discovery", {})
+    if isinstance(overrides, dict):
+        overrides = {"tau_min": 1, "tau_max": 1, **overrides}
+    base_seed = payload.get("seed", 0) if seed_override is None else seed_override
+    built, more = fields_from_json({
+        **{f"specs[{i}]": (scm_bench.SCMSpec, raw) for i, raw in enumerate(raw_specs)},
+        "seed": (int, base_seed), "discovery": (DiscoveryParams, overrides)})
+    problems += more
+    specs = [value for name, value in built.items() if name.startswith("specs[")]
     if not specs:
         problems.append("no benchmark specs given")
     methods = payload.get("methods", list(BENCH_METHODS))
@@ -182,22 +182,10 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
     seeds = payload.get("seeds", 10)
     if not is_integer(seeds) or seeds < 1:
         problems.append(f"seeds must be an integer >= 1, got {json_kind(seeds)}")
-    base_seed = payload.get("seed", 0) if seed_override is None else seed_override
-    if not is_integer(base_seed):
-        problems.append(f"seed must be an integer, got {json_kind(base_seed)}")
-    overrides = payload.get("discovery", {})
-    discovery = None
-    if not isinstance(overrides, dict):
-        problems.append(f"discovery must be a JSON object, got {json_kind(overrides)}")
-    else:
-        try:
-            discovery = discovery_params(**{"tau_min": 1, "tau_max": 1, **overrides})
-        except PARSE_ERRORS as exc:
-            problems.append(f"discovery: {exc}")
     if problems:
         raise ConfigError(problems)
     return {"specs": specs, "methods": methods, "seeds": seeds, "base_seed": base_seed,
-            "discovery": discovery}
+            "discovery": built["discovery"]}
 
 
 def run_bench(specs, methods, seeds: int, base_seed: int,
@@ -275,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "discover":
             return _cmd_discover(args)
         return _cmd_bench(args)
-    except (ConfigError, CsvFormatError, FileNotFoundError) as exc:
+    except (ConfigError, CsvFormatError, DiscoveryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception:  # pragma: no cover - defensive

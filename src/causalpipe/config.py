@@ -3,7 +3,8 @@
 A scenario config aggregates every tunable: sampling/batching, discovery
 parameters, transfer-entropy filter settings, risk-proxy parameters, the
 social-force model, the robot path, run duration and seed. Configs load from
-JSON; missing sections fall back to defaults and CLI flags override fields.
+JSON through from_json, which checks each value against its field's
+annotation; missing sections fall back to defaults.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .collector import CollectorConfig
 from .discovery import DiscoveryParams
 from .postprocess import POSTPROCESSORS, RiskParams
-from .scm_bench import Edge, SCMSpec
 from .sim import RobotPath, SFMParams
-from .stats import KernelRegParams, TEParams
+from .stats import TEParams
 
 
 class ConfigError(ValueError):
@@ -80,8 +82,9 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return payload
 
 
-# What a dataclass raises on a field of the wrong type or value; OverflowError
-# comes from float() of an integer too large for a double.
+# What from_json raises on a value of the wrong JSON type, and a dataclass on
+# a field of the wrong value; OverflowError comes from an integer too large
+# to be a size.
 PARSE_ERRORS = (TypeError, ValueError, OverflowError)
 
 
@@ -103,60 +106,81 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Integer fields that their dataclass checks by comparison only: a float or a
-# boolean would pass it and fail later, in the middle of an analysis.
-_INTEGER_FIELDS = {
-    DiscoveryParams: ("tau_min", "tau_max", "max_conditions"),
-    TEParams: ("k", "bins", "shuffles"),
-    KernelRegParams: ("permutations",),
-    SCMSpec: ("n_vars", "n_samples"),
-    Edge: ("source", "target", "lag"),
+def _is_finite_number(value) -> bool:
+    """A JSON number a double holds: not a boolean, nan, ±inf or an integer
+    past the double range."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+# Annotated leaf type -> (whether a parsed JSON value is one, what it must be).
+_LEAVES = {
+    int: (is_integer, "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    Path: (lambda v: isinstance(v, str), "a string"),
+    type(None): (lambda v: v is None, "null"),
 }
 
 
-def from_json(cls, /, *values, **fields):
-    """cls(*values, **fields) from a JSON array's values or a JSON object's
-    fields; an integer field holding anything but a JSON integer is a
-    TypeError that names the field."""
-    given = dict(zip((f.name for f in dataclasses.fields(cls)), values)) | fields
-    for name in _INTEGER_FIELDS.get(cls, ()):
-        if name in given and not is_integer(given[name]):
-            raise TypeError(f"{name} must be an integer, got {json_kind(given[name])}")
-    return cls(*values, **fields)
+def _what(tp) -> str:
+    if dataclasses.is_dataclass(tp):
+        return "a JSON object"
+    return "a JSON array" if typing.get_origin(tp) is tuple else _LEAVES[tp][1]
 
 
-def discovery_params(**fields) -> DiscoveryParams:
-    """DiscoveryParams from a JSON object's fields, with a nested `kridge` object."""
-    if "kridge" in fields:
-        if not isinstance(fields["kridge"], dict):
-            raise TypeError(f"kridge must be a JSON object, got {json_kind(fields['kridge'])}")
-        fields["kridge"] = from_json(KernelRegParams, **fields["kridge"])
-    return from_json(DiscoveryParams, **fields)
+def from_json(tp, value, name: str, in_array: bool = False):
+    """`value`, parsed JSON, as a value of the annotated type `tp`.
+
+    A dataclass is built from an object, field by field as its annotations
+    say, and `in_array` also from an array of its fields in order; a tuple
+    from an array, `X | Y` from whichever of X and Y the value is. The value
+    is checked, never converted: an integer in a float field stays an
+    integer. A value of the wrong JSON type is a TypeError that names `name`,
+    or the innermost field at fault; the dataclasses check ranges themselves.
+    """
+    arms = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    for arm in arms:
+        if dataclasses.is_dataclass(arm) and (
+                isinstance(value, dict) or in_array and isinstance(value, list)):
+            hints = typing.get_type_hints(arm)
+            if isinstance(value, list):
+                if len(value) > len(hints):
+                    raise TypeError(f"{name} must have at most {len(hints)} values, "
+                                    f"got {len(value)}")
+                value = dict(zip(hints, value))
+            unknown = [key for key in value if key not in hints]
+            if unknown:
+                raise TypeError(f"unknown field {unknown[0]!r}")
+            return arm(**{key: from_json(hints[key], v, key) for key, v in value.items()})
+        if typing.get_origin(arm) is tuple and isinstance(value, list):
+            args = typing.get_args(arm)
+            args = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(args) != len(value):
+                raise TypeError(f"{name} must be an array of {len(args)} values, "
+                                f"got {len(value)}")
+            return tuple(from_json(arg, v, f"{name}[{i}]", in_array=True)
+                         for i, (arg, v) in enumerate(zip(args, value)))
+        if arm in _LEAVES and _LEAVES[arm][0](value):
+            return value
+    raise TypeError(f"{name} must be {' or '.join(map(_what, arms))}, got {json_kind(value)}")
 
 
-def _robot_path(**fields) -> RobotPath:
-    if "waypoints" in fields:
-        fields["waypoints"] = tuple(tuple(w) for w in fields["waypoints"])
-    return RobotPath(**fields)
-
-
-# Config section -> what builds it from the section's JSON object.
-_SECTIONS = {
-    "collector": CollectorConfig,
-    "discovery": discovery_params,
-    "te": lambda **fields: from_json(TEParams, **fields),
-    "risk": RiskParams,
-    "sfm": SFMParams,
-    "robot_path": _robot_path,
-}
-
-# Top-level scalar -> (whether a JSON value is acceptable, what it must be).
-_SCALARS = {
-    "duration": (lambda v: is_integer(v) or (isinstance(v, float) and math.isfinite(v)),
-                 "a finite number"),
-    "seed": (is_integer, "an integer"),
-    "output_dir": (lambda v: isinstance(v, str), "a string"),
-}
+def fields_from_json(fields: dict[str, tuple]) -> tuple[dict, list[str]]:
+    """Each `name: (type, value)` of `fields` built with from_json, and one
+    problem per field that failed; a problem inside a JSON object is prefixed
+    with the object's name."""
+    built, problems = {}, []
+    for name, (tp, value) in fields.items():
+        try:
+            built[name] = from_json(tp, value, name)
+        except PARSE_ERRORS as exc:
+            inside = dataclasses.is_dataclass(tp) and isinstance(value, dict)
+            problems.append(f"{name}: {exc}" if inside else str(exc))
+    return built, problems
 
 
 def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
@@ -164,30 +188,14 @@ def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
     `what` names the document in the error when it is not a JSON object."""
     if not isinstance(payload, dict):
         raise ConfigError([f"{what} must be a JSON object, got {json_kind(payload)}"])
-    problems = [f"unknown config section {key!r}" for key in payload
-                if key not in _SECTIONS and key not in _SCALARS]
-    kwargs: dict = {}
-    for section, build in _SECTIONS.items():
-        if section not in payload:
-            continue
-        fields = payload[section]
-        if not isinstance(fields, dict):
-            problems.append(f"{section} must be a JSON object, got {json_kind(fields)}")
-            continue
-        try:
-            kwargs[section] = build(**fields)
-        except PARSE_ERRORS as exc:
-            problems.append(f"{section}: {exc}")
-    for name, (accepts, kind) in _SCALARS.items():
-        if name not in payload:
-            continue
-        if accepts(payload[name]):
-            kwargs[name] = payload[name]
-        else:
-            problems.append(f"{name} must be {kind}, got {json_kind(payload[name])}")
+    hints = typing.get_type_hints(ScenarioConfig)
+    problems = [f"unknown config section {key!r}" for key in payload if key not in hints]
+    fields, more = fields_from_json({key: (hints[key], value) for key, value in payload.items()
+                                     if key in hints})
+    problems += more
     if problems:
         raise ConfigError(problems)
-    config = ScenarioConfig(**kwargs)
+    config = ScenarioConfig(**fields)
     problems = validate(config)
     if problems:
         raise ConfigError(problems)

@@ -61,8 +61,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bus import MessageBus
-from .stats import (INDEPENDENT, CITestResult, KernelRegParams, KernelRidgeCache,
-                    TEParams, kridge_dcor_test, parcorr_test, te_significance)
+from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
+                    KernelRidgeCache, TEParams, kridge_dcor_test, parcorr_test,
+                    te_significance)
 from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
 log = logging.getLogger(__name__)
@@ -247,6 +248,15 @@ def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariab
 _PHASE_WINDOW = {"pc1": 1, "mci": 2}
 
 
+def _check_rows(n_rows: int, params: DiscoveryParams, phase: str) -> None:
+    """Raise BatchTooShortError unless a batch of n_rows leaves the phase
+    enough target rows after its lag window."""
+    usable = max(n_rows - _PHASE_WINDOW[phase] * params.tau_max, 0)
+    need = 10 * (params.max_conditions + 2)
+    if usable < need:
+        raise BatchTooShortError(f"{usable} usable rows after lag alignment; need >= {need}")
+
+
 class CIContext:
     """The CI tests of one phase ("pc1" or "mci") of one batch (see the module
     docstring). Cross pairs (i, j) outside `allowed_pairs`, when it is given,
@@ -262,12 +272,7 @@ class CIContext:
         if self.n_vars < 1:
             raise DiscoveryError("batch has no analysis variables")
         self.window_start = _PHASE_WINDOW[phase] * params.tau_max
-        usable = self._X.shape[0] - self.window_start
-        need = 10 * (params.max_conditions + 2)
-        if usable < need:
-            raise BatchTooShortError(
-                f"{usable} usable rows after lag alignment; need >= {need}"
-            )
+        _check_rows(self._X.shape[0], params, phase)
         self.params = params
         self.phase = phase
         self.batch_id = batch_id
@@ -444,6 +449,10 @@ def fpcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
+    # a batch that MCI or the TE estimator would reject fails before any TE pair
+    _check_rows(X.shape[0], params, "mci")
+    if n_vars > 1 and X.shape[0] < TE_MIN_ROWS:
+        raise BatchTooShortError(f"{X.shape[0]} rows; transfer entropy needs >= {TE_MIN_ROWS}")
     pairs = [(i, j) for i in range(n_vars) for j in range(n_vars) if i != j]
     jobs = [(X[:, i], X[:, j], te_params, _derived_seed(params.seed, batch_id, "te", i, j))
             for i, j in pairs]
@@ -615,7 +624,12 @@ class PoolWatcher:
             log.error("cannot quarantine %s: file vanished", path.name)
             return
         self.quarantine_dir.mkdir(exist_ok=True)
+        # a reused pool restarts the batch names: never overwrite an earlier file
         target = self.quarantine_dir / path.name
+        copies = 0
+        while target.exists():
+            copies += 1
+            target = self.quarantine_dir / f"{path.stem}.{copies}{path.suffix}"
         shutil.move(str(path), str(target))
         self.quarantined += 1
         log.error("quarantined %s -> %s", path.name, target)

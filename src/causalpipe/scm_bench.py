@@ -59,9 +59,7 @@ class SCMSpec:
             raise ValueError(f"n_vars must be >= 1, got {self.n_vars}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for e in edges:
+        for e in self.edges:
             if not (0 <= e.source < self.n_vars and 0 <= e.target < self.n_vars):
                 raise ValueError(f"edge {e} references a variable outside [0,{self.n_vars})")
         stds = self.noise_std

@@ -644,6 +644,10 @@ def _shifted_transfer_entropy(src: np.ndarray, dst: np.ndarray, shifts,
     return out
 
 
+# The shortest series transfer_entropy estimates from.
+TE_MIN_ROWS = 50
+
+
 def transfer_entropy(src, dst, params: TEParams = TEParams()) -> float:
     """Plug-in estimate (nats) of I(dst_t ; src past | dst past).
 
@@ -655,8 +659,8 @@ def transfer_entropy(src, dst, params: TEParams = TEParams()) -> float:
     dst = _as_series(dst, "dst")
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal lengths")
-    if len(src) < 50:
-        raise ValueError(f"need length >= 50, got {len(src)}")
+    if len(src) < TE_MIN_ROWS:
+        raise ValueError(f"need length >= {TE_MIN_ROWS}, got {len(src)}")
     return float(_shifted_transfer_entropy(src, dst, [0], params)[0])
 
 

@@ -191,6 +191,29 @@ def test_discover_missing_file_exits_nonzero(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["pcmci", "fpcmci"])
+@pytest.mark.parametrize("name, content, problem", [
+    pytest.param("dir.csv", None, "not a file", id="directory"),
+    pytest.param("latin1.csv", b"a,b\n1.0,\xe9\n", "latin1.csv: not UTF-8 text",
+                 id="not-utf8"),
+    pytest.param("header.csv", b"a,b\n", "0 usable rows", id="header-only"),
+    pytest.param("short.csv",
+                 b"a,b\n" + b"".join(b"%d.5,%d.25\n" % (i % 7, i % 5) for i in range(30)),
+                 "usable rows after lag alignment; need >= 50", id="30-rows"),
+])
+def test_discover_unusable_csv_exits_1(tmp_path, capsys, method, name, content, problem):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    rc = cli.main(["discover", str(path), "--out", str(tmp_path / "models"),
+                   "--method", method, "--quiet"])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
 def test_discover_malformed_csv_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1.0,2.0\n3.0\n", encoding="utf-8")
@@ -287,6 +310,11 @@ ONE_SPEC = {"specs": [{"n_vars": 1}]}
      "specs[0]: lag must be an integer, got the number 1.0"),
     ({"specs": [{"n_vars": 2, "edges": [[0, True, 1, 0.8]]}]},
      "specs[0]: target must be an integer, got a boolean"),
+    ({"specs": [{"n_vars": 1, "noise_std": "1.0"}]},
+     "specs[0]: noise_std must be a finite number or a JSON array, got a string"),
+    ({"specs": [{"n_vars": 1, "name": 5}]}, "specs[0]: name must be a string, got the number 5"),
+    ({"specs": [{"n_vars": 2, "edges": [[0, 1, 1, "0.8"]]}]},
+     "specs[0]: coefficient must be a finite number, got a string"),
 ])
 def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
         tmp_path, monkeypatch, capsys, payload, problem):
@@ -317,6 +345,29 @@ def test_run_with_a_non_integer_field_exits_1_before_any_batch(tmp_path, capsys,
     config.write_text(json.dumps(payload))
     assert cli.main(["run", "--config", str(config), "--quiet"]) == cli.EXIT_VALIDATION
     assert f"{section}: {field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--alpha", "2"], "discovery: alpha must be in (0,1), got 2.0"),
+    (["--dt", "nan"], "collector: dt must be a finite number, got the number nan"),
+    (["--tau-max", "0"], "discovery: need 1 <= tau_min <= tau_max, got [1, 0]"),
+    (["--duration", "nan"], "duration must be a finite number, got the number nan"),
+])
+def test_run_with_a_bad_flag_exits_1_before_anything_runs(tmp_path, capsys, flags, problem):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--out", str(out), *flags, "--quiet"]) == cli.EXIT_VALIDATION
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_an_infinite_config_field_exits_1_before_anything_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text('{"robot_path": {"cruise_speed": 1e400}}')
+    rc = cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "robot_path: cruise_speed must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -21,9 +23,12 @@ from causalpipe.stats import KernelRegParams, TEParams
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_config() -> dict:
-    section = README.read_text(encoding="utf-8").split("## Config file", 1)[1]
-    block = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    block = re.search(r"```json\n(.*?)```", _readme_section("Config file"), re.DOTALL)
     assert block, "README's Config file section has no JSON block"
     return json.loads(block.group(1))
 
@@ -43,6 +48,17 @@ def test_readme_config_matches_the_code():
     assert _key_paths(documented) == _key_paths(config_to_dict(default_config()))
     # "defaults shown": the documented values are the defaults
     assert config_to_dict(config) == config_to_dict(default_config())
+
+
+def test_readme_cli_lists_every_option():
+    cli_section = _readme_section("CLI")
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    missing = {(name, option) for name, command in commands.items()
+               for action in command._actions if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings
+               if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", cli_section)}
+    assert not missing, f"options missing from README's CLI section: {sorted(missing)}"
 
 
 # --- configs never crash -------------------------------------------------------
@@ -109,12 +125,21 @@ def test_config_parsers_return_or_raise_config_error(payload):
     ({"discovery": {"kridge": 5}}, "kridge must be a JSON object"),
     ({"discovery": {"kridge": {"ridge": "x"}}}, "discovery:"),
     ({"robot_path": {"waypoints": [[10**400, 0.0], [1.0, 1.0]]}}, "robot_path:"),
-    ({"collector": {"postprocessor": [1]}}, "unknown postprocessor [1]"),
+    ({"collector": {"postprocessor": [1]}},
+     "collector: postprocessor must be a string, got an array"),
     ({"duration": "150"}, "duration must be a finite number, got a string"),
     ({"duration": float("nan")}, "duration must be a finite number"),
     ({"seed": True}, "seed must be an integer, got a boolean"),
     ({"seed": 1.5}, "seed must be an integer, got the number 1.5"),
     ({"output_dir": 5}, "output_dir must be a string"),
+    ({"collector": {"postprocessor": "bogus"}}, "unknown postprocessor 'bogus'"),
+    ({"robot_path": {"loop": "no"}}, "robot_path: loop must be a boolean, got a string"),
+    ({"collector": {"dt": True}}, "collector: dt must be a finite number, got a boolean"),
+    ({"discovery": {"kridge": {"ridge": True}}},
+     "discovery: ridge must be a finite number, got a boolean"),
+    ({"sfm": {"noise_accel": True}}, "sfm: noise_accel must be a finite number, got a boolean"),
+    ({"robot_path": {"cruise_speed": 1e400}},
+     "robot_path: cruise_speed must be a finite number, got the number inf"),
 ])
 def test_bad_config_is_a_config_error(payload, problem):
     with pytest.raises(ConfigError) as info:
@@ -122,8 +147,8 @@ def test_bad_config_is_a_config_error(payload, problem):
     assert any(problem in p for p in info.value.problems), info.value.problems
 
 
-# Every integer field the dataclasses compare but do not type-check, with a
-# float and a boolean: each must be a ConfigError that names the field.
+# Integer fields with a float and a boolean: each must be a ConfigError that
+# names the field.
 INTEGER_FIELD_CASES = [
     ({"discovery": {"tau_min": 1.0}}, "tau_min", "the number 1.0"),
     ({"discovery": {"tau_max": 1.5}}, "tau_max", "the number 1.5"),
@@ -135,6 +160,7 @@ INTEGER_FIELD_CASES = [
     ({"te": {"bins": 8.5}}, "bins", "the number 8.5"),
     ({"te": {"bins": True}}, "bins", "a boolean"),
     ({"te": {"shuffles": 100.0}}, "shuffles", "the number 100.0"),
+    ({"discovery": {"seed": 2.5}}, "seed", "the number 2.5"),
 ]
 
 
@@ -167,3 +193,32 @@ def test_unreadable_config_file_is_a_config_error(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot be read"):
         load_config(tmp_path)
+
+
+# Each run flag that takes a number -> the config field it sets.
+NUMBER_FLAGS = {"--alpha": ("discovery", "alpha"), "--tau-min": ("discovery", "tau_min"),
+                "--tau-max": ("discovery", "tau_max"), "--dt": ("collector", "dt"),
+                "--batch-seconds": ("collector", "batch_seconds"), "--duration": ("duration",)}
+INTEGER_FLAGS = {"--tau-min", "--tau-max"}
+numbers = (st.integers() | st.integers(min_value=-10**400, max_value=10**400)
+           | st.floats() | st.sampled_from([0, 1, 2, 150, 0.05, 0.3, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(sorted(NUMBER_FLAGS)), numbers, min_size=1))
+def test_run_flags_return_a_config_or_raise_config_error(flags):
+    argv = ["run"]
+    for flag, value in flags.items():
+        if flag in INTEGER_FLAGS and not (isinstance(value, int) or math.isfinite(value)):
+            value = 1
+        argv.append(f"{flag}={int(value) if flag in INTEGER_FLAGS else value!r}")
+    args = cli.build_parser().parse_args(argv)
+    try:
+        config = cli._load_config(args)
+    except ConfigError:
+        return
+    for flag in flags:  # a flag that passes lands on its field unchanged
+        value = config_to_dict(config)
+        for key in NUMBER_FLAGS[flag]:
+            value = value[key]
+        assert value == getattr(args, flag[2:].replace("-", "_"))

@@ -117,13 +117,30 @@ def test_pc1_chain_excludes_indirect_parent():
 
 
 @pytest.mark.parametrize("n_rows, usable", [pytest.param(20, 19, id="pc1"),
-                                             pytest.param(51, 49, id="mci")])
+                                             pytest.param(51, 49, id="mci"),
+                                             pytest.param(0, 0, id="empty")])
 def test_pc1_batch_too_short(n_rows, usable):
     # with tau_max=1 and max_conditions=3 a phase needs 50 rows: 51 rows fit
     # PC1's window (from row 1) but not MCI's (from row 2)
     batch = batch_from(np.random.default_rng(0).normal(size=(n_rows, 2)))
     with pytest.raises(BatchTooShortError, match=f"^{usable} usable rows"):
         pcmci(batch, PARCORR)
+
+
+@pytest.mark.parametrize("n_rows, max_conditions, problem", [
+    (30, 3, "^28 usable rows"),  # MCI would reject it
+    (40, 0, "^40 rows; transfer entropy needs >= 50"),  # MCI would take it, TE would not
+])
+def test_fpcmci_short_batch_fails_before_any_te_pair(monkeypatch, n_rows, max_conditions,
+                                                     problem):
+    def no_te(*args, **kwargs):
+        raise AssertionError("a TE pair ran on a batch too short to analyse")
+
+    monkeypatch.setattr(discovery, "te_significance", no_te)
+    batch = batch_from(np.random.default_rng(0).normal(size=(n_rows, 2)))
+    params = dataclasses.replace(PARCORR, method="fpcmci", max_conditions=max_conditions)
+    with pytest.raises(BatchTooShortError, match=problem):
+        fpcmci(batch, params)
 
 
 # --- mci ----------------------------------------------------------------------
@@ -671,6 +688,20 @@ def test_watcher_quarantines_corrupt_file(tmp_path):
     assert watcher.published + watcher.quarantined == 2
     assert list(pool.glob("*.csv")) == []
     assert [p.name for p in (pool / "quarantine").iterdir()] == [bad.name]
+
+
+def test_watcher_keeps_every_quarantined_file(tmp_path):
+    # a reused pool restarts the batch names, so a second corrupt file can
+    # carry the name of one already in quarantine
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    watcher = PoolWatcher(pool, PARCORR)
+    for text in ("a,b\n1.0\n", "a,b\n2.0\n"):
+        (pool / "data_00000_000000000000.csv").write_text(text, encoding="utf-8")
+        assert watcher.process_once() is None
+    assert watcher.quarantined == 2
+    kept = sorted(p.read_text(encoding="utf-8") for p in (pool / "quarantine").iterdir())
+    assert kept == ["a,b\n1.0\n", "a,b\n2.0\n"]
 
 
 def test_watcher_background_thread_processes(tmp_path):
