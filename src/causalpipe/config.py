@@ -4,7 +4,8 @@ A scenario config aggregates every tunable: sampling/batching, discovery
 parameters, transfer-entropy filter settings, risk-proxy parameters, the
 social-force model, the robot path, run duration and seed. Configs load from
 JSON through from_json, which checks each value against its field's
-annotation; missing sections fall back to defaults.
+annotation; missing sections fall back to defaults, and a document that does
+not place `collector.pool_dir` pools under `<output_dir>/pool`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,14 @@ def validate(config: ScenarioConfig) -> list[str]:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
+    """The config as a JSON document that config_from_dict reads back.
+
+    A `pc_alpha` equal to `alpha` is written as null, as the parser takes
+    it, so a document built from the default config lets `alpha` set both.
+    """
     payload = dataclasses.asdict(config)
+    if config.discovery.pc_alpha == config.discovery.alpha:
+        payload["discovery"]["pc_alpha"] = None
     payload["collector"]["pool_dir"] = str(config.collector.pool_dir)
     payload["output_dir"] = str(config.output_dir)
     payload["robot_path"]["waypoints"] = [list(w) for w in config.robot_path.waypoints]
@@ -196,6 +204,10 @@ def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
     if problems:
         raise ConfigError(problems)
     config = ScenarioConfig(**fields)
+    if "pool_dir" not in payload.get("collector", {}):
+        # as in default_config: the pool lives in the run's output directory
+        config.collector = dataclasses.replace(config.collector,
+                                               pool_dir=config.output_dir / "pool")
     problems = validate(config)
     if problems:
         raise ConfigError(problems)

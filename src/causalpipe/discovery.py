@@ -589,6 +589,13 @@ class PoolWatcher:
     deleted. Runs either inline (process_once / drain) or in a background
     thread (start / stop); wake() makes that thread scan at once instead of
     at the end of its poll_interval.
+
+    The watcher holds a file lock while it touches files (pool scan, read,
+    bus publish and on_model, delete or quarantine), not while `discover`
+    runs. wait_for_file_work() blocks while it is held, so a CPU-bound
+    producer can step aside: blocked on a lock, it does not hold the
+    interpreter lock, and each of the watcher's system calls gets that back
+    at once instead of after a switch interval.
     """
 
     def __init__(self, pool_dir: str | Path, params: DiscoveryParams,
@@ -611,10 +618,11 @@ class PoolWatcher:
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._work_lock = threading.Lock()  # strictly sequential processing
+        self._file_lock = threading.Lock()  # held while the watcher touches files
 
     def _pending(self) -> list[Path]:
         # one listdir, and a stat only for the names that could be batches:
-        # every system call here may wait a switch interval for the lock
+        # each system call drops the interpreter lock
         names = sorted(n for n in os.listdir(self.pool_dir)
                        if n.endswith(".csv") and n != ".csv")  # as Path.suffix
         return [p for p in (self.pool_dir / n for n in names) if p.is_file()]
@@ -641,14 +649,18 @@ class PoolWatcher:
         Serialized internally, so an inline drain is safe while the
         background thread is polling.
         """
-        with self._work_lock:
+        with self._work_lock, self._file_lock:
             for path in self._pending():
                 try:
                     batch = read_csv(path)
-                    # `discover` is looked up at call time, so a wrapper set
-                    # on this module (a delay, a timer) sees every batch
-                    model = discover(batch, self.params, self.te_params,
-                                     batch_id=batch_id_for(path))
+                    self._file_lock.release()
+                    try:
+                        # `discover` is looked up at call time, so a wrapper
+                        # set on this module (a delay, a timer) sees every batch
+                        model = discover(batch, self.params, self.te_params,
+                                         batch_id=batch_id_for(path))
+                    finally:
+                        self._file_lock.acquire()
                 except Exception:
                     log.exception("analysis failed for %s", path.name)
                     self._quarantine(path)
@@ -666,15 +678,23 @@ class PoolWatcher:
                 return model
             return None
 
+    def wait_for_file_work(self) -> None:
+        """Return once the watcher is not touching files: at once if it is
+        idle or running `discover`."""
+        with self._file_lock:
+            pass
+
     def drain(self) -> list[CausalModel]:
         """Process until the pool is empty; returns the models in order."""
         models = []
         while True:
             model = self.process_once()
-            if model is None and not self._pending():
-                return models
             if model is not None:
                 models.append(model)
+                continue
+            with self._file_lock:
+                if not self._pending():
+                    return models
 
     def start(self) -> None:
         if self._thread is not None:

@@ -16,6 +16,14 @@ loop: after each collector tick, every file newly appended to
 `collector.files_written` is stamped with the current time, and the watcher
 is woken to take it. The manifest's checksums are of the bytes each model
 file was written with, not read back from disk.
+
+After each collector tick the loop also waits while the watcher touches
+files (PoolWatcher.wait_for_file_work): its pool scan, CSV read, model
+exports and delete. Blocked on that lock, the loop does not hold the
+interpreter lock, so each of those system calls returns to the watcher at
+once instead of after a switch interval of the CPU-bound loop. The watcher
+lets go of the lock while it runs `discover`, so collection never waits on
+analysis.
 """
 
 from __future__ import annotations
@@ -116,6 +124,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
             landed[path.name] = time_mod.perf_counter()
         if new_files:
             watcher.wake()
+        watcher.wait_for_file_work()
 
     started = time_mod.perf_counter()
     watcher.start()

@@ -145,6 +145,17 @@ def test_run_config_file_with_flag_override(tmp_path):
     assert model["params"]["method"] == "pcmci"
 
 
+def test_run_pools_under_the_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({
+        "duration": 24.0, "output_dir": "o", "collector": {"batch_seconds": 24.0},
+        "discovery": {"ci_test": "parcorr", "method": "pcmci"}}))
+    assert cli.main(["run", "--config", "config.json", "--quiet"]) == 0
+    assert json.loads(Path("o/manifest.json").read_text())["models_published"] == 1
+    assert Path("o/pool").is_dir()
+    assert not Path("pool").exists()
+
+
 def test_run_rejects_invalid_config_file(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"collector": {"dt": -1.0}}))

@@ -48,6 +48,8 @@ def test_readme_config_matches_the_code():
     assert _key_paths(documented) == _key_paths(config_to_dict(default_config()))
     # "defaults shown": the documented values are the defaults
     assert config_to_dict(config) == config_to_dict(default_config())
+    # and the document the code writes for the defaults is the documented one
+    assert config_to_dict(default_config()) == documented
 
 
 def test_readme_cli_lists_every_option():
@@ -184,6 +186,51 @@ def test_integer_fields_accept_json_integers():
 def test_robot_path_section_without_waypoints_keeps_the_default_path():
     config = config_from_dict({"robot_path": {"cruise_speed": 0.8}})
     assert config.robot_path == RobotPath(cruise_speed=0.8)
+
+
+def load_run_config(tmp_path, document, *flags):
+    """`cli._load_config` for `run *flags`, with `document` as --config if
+    it is not None."""
+    argv = ["run", *flags]
+    if document is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv += ["--config", str(path)]
+    return cli._load_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("document", [None, _readme_config()], ids=["default", "readme"])
+def test_alpha_flag_also_sets_pc_alpha_left_null(tmp_path, document):
+    discovery = load_run_config(tmp_path, document, "--alpha", "0.01").discovery
+    assert (discovery.alpha, discovery.pc_alpha) == (0.01, 0.01)
+
+
+def test_alpha_flag_keeps_a_pc_alpha_the_document_sets(tmp_path):
+    document = {"discovery": {"alpha": 0.1, "pc_alpha": 0.2}}
+    discovery = load_run_config(tmp_path, document, "--alpha", "0.01").discovery
+    assert (discovery.alpha, discovery.pc_alpha) == (0.01, 0.2)
+
+
+def test_config_echo_writes_pc_alpha_null_only_when_it_follows_alpha():
+    config = default_config()
+    assert config_to_dict(config)["discovery"]["pc_alpha"] is None
+    config.discovery = dataclasses.replace(config.discovery, pc_alpha=0.2)
+    assert config_to_dict(config)["discovery"]["pc_alpha"] == 0.2
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+@pytest.mark.parametrize("document,pool_dir", [
+    ({"output_dir": "x"}, "x/pool"),
+    ({"output_dir": "x", "collector": {"dt": 0.5}}, "x/pool"),
+    ({"output_dir": "x", "collector": {"pool_dir": "elsewhere"}}, "elsewhere"),
+    ({}, "out/pool"),
+])
+def test_pool_follows_output_dir_unless_placed(tmp_path, document, pool_dir):
+    assert config_from_dict(document).collector.pool_dir == Path(pool_dir)
+    assert load_run_config(tmp_path, document).collector.pool_dir == Path(pool_dir)
+    # --out places both, over whatever the document says
+    config = load_run_config(tmp_path, document, "--out", "y")
+    assert (config.output_dir, config.collector.pool_dir) == (Path("y"), Path("y/pool"))
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path):

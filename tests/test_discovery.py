@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -500,6 +501,36 @@ def test_pipeline_reaches_every_traced_name(ci_test, method, unreached, tmp_path
     assert {name for _, name in TRACED if calls[name] == 0} == unreached
 
 
+def test_run_pipeline_never_waits_on_analysis(tmp_path, monkeypatch):
+    # acceptance criterion 4 on run_pipeline itself: no analysis can finish
+    # before the run stops its watcher, so a run that waited for one would
+    # time out and quarantine the batch
+    stopped = threading.Event()
+    entered_before_stop = []
+    stop, analyse = PoolWatcher.stop, discovery.discover
+
+    def stopping(self):
+        stopped.set()
+        stop(self)
+
+    def blocked(*args, **kwargs):
+        entered_before_stop.append(not stopped.is_set())
+        if not stopped.wait(30.0):
+            raise TimeoutError("the generator waited on analysis")
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(PoolWatcher, "stop", stopping)
+    monkeypatch.setattr(discovery, "discover", blocked)
+    cfg = default_config(tmp_path, seed=5)
+    cfg.duration = 72.0
+    cfg.collector = dataclasses.replace(cfg.collector, batch_seconds=24.0)
+    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test="parcorr", method="pcmci")
+    result = run_pipeline(cfg)
+    assert [m.batch_id for m in result.models] == ["0", "1", "2"]
+    assert result.quarantined == 0
+    assert entered_before_stop[0]  # the watcher was analysing while the run went on
+
+
 # --- export -------------------------------------------------------------------
 
 def manual_model(vals, names=("a", "b")):
@@ -781,6 +812,95 @@ def test_stop_returns_while_the_watcher_waits(tmp_path):
     stopper.join(2.0)  # well inside the 60 s poll
     assert not stopper.is_alive()
     assert not waiting.is_alive()
+
+
+def returns_within(fn, seconds):
+    """Whether `fn()`, called on another thread, returns within `seconds`."""
+    caller = threading.Thread(target=fn, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    return not caller.is_alive()
+
+
+def test_wait_for_file_work_blocks_while_the_watcher_exports(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    write_pool_file(pool, 0, seed=1)
+    exporting, release = threading.Event(), threading.Event()
+
+    def on_model(model, path):
+        exporting.set()
+        release.wait(30.0)
+
+    watcher = PoolWatcher(pool, PARCORR, on_model=on_model)
+    worker = threading.Thread(target=watcher.process_once)
+    worker.start()
+    try:
+        assert exporting.wait(30.0)
+        assert not returns_within(watcher.wait_for_file_work, 0.3)
+    finally:
+        release.set()
+        worker.join(30.0)
+    assert not worker.is_alive()
+    assert returns_within(watcher.wait_for_file_work, 5.0)
+    assert watcher.published == 1
+
+
+def test_wait_for_file_work_returns_while_discover_runs(tmp_path, monkeypatch):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    write_pool_file(pool, 0, seed=1)
+    analysing, release = threading.Event(), threading.Event()
+    analyse = discovery.discover
+
+    def blocked(*args, **kwargs):
+        analysing.set()
+        release.wait(30.0)
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(discovery, "discover", blocked)
+    watcher = PoolWatcher(pool, PARCORR)
+    worker = threading.Thread(target=watcher.process_once)
+    worker.start()
+    try:
+        assert analysing.wait(30.0)
+        assert returns_within(watcher.wait_for_file_work, 5.0)
+    finally:
+        release.set()
+        worker.join(30.0)
+    assert not worker.is_alive()
+    assert watcher.published == 1
+
+
+def test_file_lock_is_let_go_after_a_failure(tmp_path, monkeypatch):
+    # each way a batch can fail inside the locked section, in turn; a
+    # generator waiting for the watcher's file work must never be left stuck
+    pool = tmp_path / "pool"
+    pool.mkdir()
+
+    def failing_discover(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    def failing_callback(model, path):
+        raise RuntimeError("injected")
+
+    watcher = PoolWatcher(pool, PARCORR, on_model=failing_callback)
+    (pool / "data_00000_000000000000.csv").write_text("a,b\n1.0\n", encoding="utf-8")
+    assert watcher.process_once() is None  # unreadable: quarantined
+    assert returns_within(watcher.wait_for_file_work, 5.0)
+    write_pool_file(pool, 1, seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(discovery, "discover", failing_discover)
+        assert watcher.process_once() is None  # analysis raised: quarantined
+    assert returns_within(watcher.wait_for_file_work, 5.0)
+    write_pool_file(pool, 2, seed=1)
+    assert watcher.process_once() is not None  # the callback raised: logged
+    assert returns_within(watcher.wait_for_file_work, 5.0)
+    shutil.rmtree(pool)
+    with pytest.raises(FileNotFoundError):  # the scan itself raised
+        watcher.process_once()
+    assert returns_within(watcher.wait_for_file_work, 5.0)
+    assert (watcher.quarantined, watcher.published) == (2, 1)
 
 
 def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, caplog):
