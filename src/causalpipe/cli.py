@@ -115,9 +115,12 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _write_flags(document: dict, flags: dict) -> None:
     """Write each flag that was given over the field of the same name; a
-    section that is not an object is left for the parser to report."""
+    section is created only for a flag given in it, and a section that is
+    not an object is left for the parser to report."""
     for name, value in flags.items():
         if isinstance(value, dict):
+            if all(v is None for v in value.values()):
+                continue
             section = document.setdefault(name, {})
             if isinstance(section, dict):
                 _write_flags(section, value)

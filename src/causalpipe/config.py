@@ -4,8 +4,9 @@ A scenario config aggregates every tunable: sampling/batching, discovery
 parameters, transfer-entropy filter settings, risk-proxy parameters, the
 social-force model, the robot path, run duration and seed. Configs load from
 JSON through from_json, which checks each value against its field's
-annotation; missing sections fall back to defaults, and a document that does
-not place `collector.pool_dir` pools under `<output_dir>/pool`.
+annotation. A field the document leaves out, in a section it names or not,
+keeps the default config's value, and a document that does not place
+`collector.pool_dir` pools under `<output_dir>/pool`.
 """
 
 from __future__ import annotations
@@ -198,8 +199,14 @@ def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
         raise ConfigError([f"{what} must be a JSON object, got {json_kind(payload)}"])
     hints = typing.get_type_hints(ScenarioConfig)
     problems = [f"unknown config section {key!r}" for key in payload if key not in hints]
-    fields, more = fields_from_json({key: (hints[key], value) for key, value in payload.items()
-                                     if key in hints})
+    # A section object is written over the default config's section, so the
+    # fields it leaves out keep the default config's values, not those of
+    # the section's own dataclass (DiscoveryParams() is pcmci + parcorr).
+    default = config_to_dict(ScenarioConfig())
+    fields, more = fields_from_json({
+        key: (hints[key], {**default[key], **value}
+              if isinstance(default[key], dict) and isinstance(value, dict) else value)
+        for key, value in payload.items() if key in hints})
     problems += more
     if problems:
         raise ConfigError(problems)

@@ -63,7 +63,7 @@ import numpy as np
 from .bus import MessageBus
 from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
                     KernelRidgeCache, TEParams, kridge_dcor_test, parcorr_test,
-                    te_significance)
+                    student_t_cdf, te_significance)
 from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
 log = logging.getLogger(__name__)
@@ -619,6 +619,10 @@ class PoolWatcher:
         self._thread: threading.Thread | None = None
         self._work_lock = threading.Lock()  # strictly sequential processing
         self._file_lock = threading.Lock()  # held while the watcher touches files
+        if params.ci_test == "parcorr":
+            # Import SciPy here, on the building thread: on the watcher thread
+            # its first batch would wait for the import behind the producer.
+            student_t_cdf()
 
     def _pending(self) -> list[Path]:
         # one listdir, and a stat only for the names that could be batches:

@@ -9,9 +9,11 @@ Two conditional-independence tests are provided:
 
 parcorr_test takes its two-sided tail from scipy.special.stdtr, the Student-t
 CDF that scipy.stats.t.sf wraps: t.sf(x, df) is stdtr(df, -x) for a finite x
-with loc 0 and scale 1, so the p-value has the same bits. The package imports
-nothing from scipy.stats, which would add about a second and ~45 MB to every
-start of the program for this one scalar.
+with loc 0 and scale 1, so the p-value has the same bits. It is the only SciPy
+function the package uses, and student_t_cdf() imports it on first use, so a
+program that never runs parcorr never loads SciPy (its import is most of the
+package's start-up time and about 20 MB). A PoolWatcher for parcorr calls it
+when it is built, so the import never lands on the watcher thread mid-stream.
 
 kridge_dcor_test plays the role of a GPDC-style test: the kernel ridge fit is
 the Gaussian-process posterior mean under fixed hyperparameters, which keeps
@@ -58,7 +60,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +181,15 @@ _P_FLOOR = float(np.nextafter(0.0, 1.0))
 _COLLAPSED = 1e-12
 
 
+def student_t_cdf():
+    """scipy.special.stdtr, the Student-t CDF stdtr(df, t), imported on the
+    first call. The import takes a few tenths of a second: a thread that
+    must not stall mid-stream calls this beforehand."""
+    from scipy.special import stdtr
+
+    return stdtr
+
+
 def parcorr_test(x, y, Z=()) -> CITestResult:
     """Linear partial-correlation CI test with a two-sided Student-t p-value.
 
@@ -210,7 +220,7 @@ def parcorr_test(x, y, Z=()) -> CITestResult:
         p = _P_FLOOR
     else:
         t = r * math.sqrt(dof / (1.0 - r * r))
-        p = max(float(2.0 * stdtr(dof, -abs(t))), _P_FLOOR)
+        p = max(float(2.0 * student_t_cdf()(dof, -abs(t))), _P_FLOOR)
     return CITestResult(statistic=r, p_value=p)
 
 
@@ -368,9 +378,13 @@ def distance_correlation(x, y) -> float:
     return float(min(math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y)), 1.0))
 
 
-# Permutations are scored in chunks of this many rows: enough to amortise
-# numpy's per-call overhead, few enough to keep the working set small.
-_PERM_CHUNK = 32
+# Permutations are scored in chunks of this many rows, so the default 201
+# rows (the observed one and 200 permutations) take two chunks. Each numpy
+# call of the merge is a point where concurrent tests trade the interpreter
+# lock, so fewer, taller chunks mean fewer hand-offs; one chunk of 201 rows
+# is slower again, its working set no longer fits in cache. Every row is
+# computed on its own, so the result does not depend on the chunk height.
+_PERM_CHUNK = 101
 # Width, relative to the size of the dCov^2 terms, of the band in which an
 # O(n log n) value is too close to the observed one to order. Its rounding
 # error against the O(n^2) form measures below 1e-15 on the same scale.

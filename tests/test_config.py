@@ -211,6 +211,25 @@ def test_alpha_flag_keeps_a_pc_alpha_the_document_sets(tmp_path):
     assert (discovery.alpha, discovery.pc_alpha) == (0.01, 0.2)
 
 
+@pytest.mark.parametrize("document,alpha", [({"discovery": {"alpha": 0.01}}, 0.01),
+                                            ({"seed": 3}, 0.05)],
+                         ids=["partial-discovery", "no-discovery"])
+def test_partial_config_keeps_the_shipped_method_and_test(tmp_path, document, alpha):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for config in (load_config(path), load_run_config(tmp_path, document)):
+        discovery = config.discovery
+        assert (discovery.method, discovery.ci_test) == ("fpcmci", "kridge_dcor")
+        assert (discovery.alpha, discovery.pc_alpha) == (alpha, alpha)
+
+
+def test_flags_not_given_add_no_section():
+    document = {"seed": 3}
+    cli._write_flags(document, {"seed": None, "discovery": {"alpha": None},
+                                "collector": {"dt": 0.5, "batch_seconds": None}})
+    assert document == {"seed": 3, "collector": {"dt": 0.5}}
+
+
 def test_config_echo_writes_pc_alpha_null_only_when_it_follows_alpha():
     config = default_config()
     assert config_to_dict(config)["discovery"]["pc_alpha"] is None

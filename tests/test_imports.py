@@ -4,20 +4,67 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import causalpipe
 
 # Every module of the package; `python -m causalpipe` guards its entry point.
 MODULES = sorted(f"causalpipe.{m.name}" for m in pkgutil.iter_modules(causalpipe.__path__))
 
+# Builds the default config's pipeline objects, then a parcorr watcher, and
+# prints the watcher's CI test and which SciPy modules are loaded after each.
+BUILD = """
+import dataclasses, sys
+from pathlib import Path
+from causalpipe.bus import MessageBus
+from causalpipe.collector import Collector
+from causalpipe.config import default_config
+from causalpipe.discovery import MODEL_TOPIC, CausalModel, PoolWatcher
+from causalpipe.postprocess import resolve_postprocessor
+from causalpipe.sim import Simulator
+from causalpipe.state import HUMAN_TOPIC, ROBOT_TOPIC, AgentState
 
-def test_the_package_does_not_import_scipy_stats():
-    # A fresh interpreter: this one has scipy.stats loaded by other tests.
+def loaded():
+    return [m in sys.modules for m in ('scipy.stats', 'scipy.special')]
+
+cfg = default_config(sys.argv[1])
+cfg.collector.pool_dir.mkdir(parents=True)
+bus = MessageBus()
+for topic, kind in ((ROBOT_TOPIC, AgentState), (HUMAN_TOPIC, AgentState),
+                    (MODEL_TOPIC, CausalModel)):
+    bus.create_topic(topic, kind)
+Simulator(sfm=cfg.sfm, path=cfg.robot_path, seed=cfg.seed, bus=bus)
+Collector(bus, cfg.collector, resolve_postprocessor(cfg.collector.postprocessor, cfg.risk))
+PoolWatcher(cfg.collector.pool_dir, cfg.discovery, cfg.te, bus=bus)
+print(cfg.discovery.ci_test, *loaded())
+parcorr = dataclasses.replace(cfg.discovery, ci_test='parcorr', method='pcmci')
+PoolWatcher(cfg.collector.pool_dir, parcorr, cfg.te, bus=bus)
+print(parcorr.ci_test, *loaded())
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_loaded(tmp_path_factory):
+    """{ci_test: (scipy.stats loaded, scipy.special loaded)} after building
+    each watcher, in a fresh interpreter: this one has scipy loaded by other
+    tests."""
     src = str(Path(causalpipe.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    script = "\n".join([*(f"import {m}" for m in MODULES), "import sys",
-                        "print('scipy.stats' in sys.modules)"])
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+    script = "\n".join(f"import {m}" for m in MODULES) + BUILD
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path_factory.mktemp("out"))],
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "causalpipe.stats" in MODULES and "causalpipe.cli" in MODULES
-    assert proc.stdout.strip() == "False"
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    return {ci_test: tuple(flag == "True" for flag in flags) for ci_test, *flags in rows}
+
+
+def test_the_package_does_not_import_scipy_stats(scipy_loaded):
+    assert scipy_loaded["kridge_dcor"][0] is False
+    assert scipy_loaded["parcorr"][0] is False
+
+
+def test_scipy_special_loads_only_for_a_parcorr_watcher(scipy_loaded):
+    assert scipy_loaded["kridge_dcor"][1] is False
+    assert scipy_loaded["parcorr"][1] is True

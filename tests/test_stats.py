@@ -602,11 +602,30 @@ def test_sorted_abs_cross_sums_matches_reference_exactly(n):
 
 @pytest.mark.parametrize("n", (4, 33, 500))
 def test_permutation_rows_take_the_per_row_draws(n):
-    for k in (1, 31, 32):
+    for k in (1, 31, 32, 100, 101):
         drawn, looped = np.random.default_rng(n + k), np.random.default_rng(n + k)
         assert np.array_equal(_permutation_rows(drawn, k, n),
                               np.stack([looped.permutation(n) for _ in range(k)]))
         assert drawn.random() == looped.random()  # both generators advanced alike
+
+
+@pytest.mark.parametrize("n", (4, 9, 499, 513))
+@pytest.mark.parametrize("ties", (False, True), ids=("distinct", "ties"))
+def test_dcor_permutations_do_not_depend_on_the_chunk_height(monkeypatch, n, ties):
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    if ties:
+        x, y = np.round(x, 1), np.round(y, 1)
+    xs = np.sort(x)
+    W = y[_permutation_rows(rng, 201, n)]
+    pvals, sums = [], []
+    for chunk in (1, 7, 32, 101, 201):
+        monkeypatch.setattr(stats, "_PERM_CHUNK", chunk)
+        pvals.append(dcor_perm_test(x, y, seed=n))
+        sums.append(np.concatenate([_sorted_abs_cross_sums(xs, W[start:start + chunk])
+                                    for start in range(0, len(W), chunk)]))
+    assert len(set(pvals)) == 1
+    assert all(np.array_equal(rows, sums[0]) for rows in sums)
 
 
 def test_sorted_abs_cross_sums_beyond_int16_rows():
