@@ -37,10 +37,11 @@ Workers never submit to the pool, so it cannot deadlock. A worker that waits
 for a cache entry waits for the worker computing it, never for a queued
 task, so sharing the cache cannot deadlock either.
 
-A PoolWatcher reproduces the batch worker: it polls a pool directory, always
+A PoolWatcher reproduces the batch worker: it scans a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
 deletes the file afterwards (corrupt files are quarantined, never silently
-dropped).
+dropped). A watcher is driven from one thread, which does every pool file
+operation; with step() its analysis thread only runs `discover`.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -224,8 +226,8 @@ def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True) -> list[A
         futures = [pool.submit(fn, *job) for job in jobs]
     except RuntimeError:
         # The pool takes no new work once the interpreter has begun to exit.
-        # A daemon watcher still inside a batch then finishes it on its own
-        # thread instead of failing and quarantining a good file.
+        # A watcher's analysis thread still inside a batch then finishes it
+        # on its own thread instead of failing and quarantining a good file.
         return [fn(*job) for job in jobs]
     try:
         return [f.result() for f in futures]
@@ -582,27 +584,25 @@ def batch_id_for(path: Path) -> str:
 class PoolWatcher:
     """Sequential worker over a pool directory of CSV batches.
 
-    Each poll picks the oldest file (lexicographic order equals creation
-    order for collector output), runs the configured discovery, publishes the
-    CausalModel on the bus, then deletes the file. Files that cannot be read
-    or analysed are moved to a quarantine subdirectory and never silently
-    deleted. Runs either inline (process_once / drain) or in a background
-    thread (start / stop); wake() makes that thread scan at once instead of
-    at the end of its poll_interval.
+    Each batch is the oldest file in the pool (lexicographic order equals
+    creation order for collector output): the watcher runs the configured
+    discovery on it, publishes the CausalModel on the bus, hands it to
+    `on_model`, then deletes the file. Files that cannot be read or analysed
+    are moved to a quarantine subdirectory, never silently deleted. A model
+    is published at its batch's end time, or at the last model's if that is
+    later (a batch an earlier run left in a reused pool): the model topic's
+    clock never goes back.
 
-    The watcher holds a file lock while it touches files (pool scan, read,
-    bus publish and on_model, delete or quarantine), not while `discover`
-    runs. wait_for_file_work() blocks while it is held, so a CPU-bound
-    producer can step aside: blocked on a lock, it does not hold the
-    interpreter lock, and each of the watcher's system calls gets that back
-    at once instead of after a switch interval.
+    A watcher is driven from one thread, which does every pool file
+    operation (scan, read, publish and on_model, delete or quarantine).
+    process_once and drain analyse inline; step() hands each batch to the
+    watcher's analysis thread, which only runs `discover`, and never waits.
     """
 
     def __init__(self, pool_dir: str | Path, params: DiscoveryParams,
                  te_params: TEParams = TEParams(),
                  bus: MessageBus | None = None,
-                 on_model: Callable[[CausalModel, Path], None] | None = None,
-                 poll_interval: float = 1.0):
+                 on_model: Callable[[CausalModel, Path], None] | None = None):
         self.pool_dir = Path(pool_dir)
         if not self.pool_dir.is_dir():
             raise FileNotFoundError(f"pool directory {self.pool_dir} does not exist")
@@ -610,19 +610,22 @@ class PoolWatcher:
         self.te_params = te_params
         self.bus = bus
         self.on_model = on_model
-        self.poll_interval = poll_interval
         self.quarantine_dir = self.pool_dir / "quarantine"
         self.published = 0
         self.quarantined = 0
-        self._stop = threading.Event()
-        self._wake = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._work_lock = threading.Lock()  # strictly sequential processing
-        self._file_lock = threading.Lock()  # held while the watcher touches files
+        self._model_time = -math.inf  # bus time of the last model published
+        # its one thread starts on the first step() and ends with the watcher
+        self._analyst = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pool-analysis")
+        self._analysis: tuple[Path, TimeSeriesBatch, Future] | None = None
         if params.ci_test == "parcorr":
-            # Import SciPy here, on the building thread: on the watcher thread
-            # its first batch would wait for the import behind the producer.
+            # Import SciPy here, on the driving thread: on the analysis thread
+            # the first batch would wait for the import behind the producer.
             student_t_cdf()
+
+    @property
+    def analysing(self) -> bool:
+        """Whether a batch handed over by step() is not finished yet."""
+        return self._analysis is not None
 
     def _pending(self) -> list[Path]:
         # one listdir, and a stat only for the names that could be batches:
@@ -646,84 +649,82 @@ class PoolWatcher:
         self.quarantined += 1
         log.error("quarantined %s -> %s", path.name, target)
 
-    def process_once(self) -> CausalModel | None:
-        """Handle the oldest pending file; returns its model, or None if the
-        pool is empty (corrupt files are quarantined and the next is tried).
+    def _take(self) -> tuple[Path, TimeSeriesBatch] | None:
+        """The oldest readable pending file and its batch, or None when the
+        pool has none; unreadable files before it are quarantined."""
+        for path in self._pending():
+            try:
+                return path, read_csv(path)
+            except Exception:
+                log.exception("analysis failed for %s", path.name)
+                self._quarantine(path)
+        return None
 
-        Serialized internally, so an inline drain is safe while the
-        background thread is polling.
-        """
-        with self._work_lock, self._file_lock:
-            for path in self._pending():
-                try:
-                    batch = read_csv(path)
-                    self._file_lock.release()
-                    try:
-                        # `discover` is looked up at call time, so a wrapper
-                        # set on this module (a delay, a timer) sees every batch
-                        model = discover(batch, self.params, self.te_params,
-                                         batch_id=batch_id_for(path))
-                    finally:
-                        self._file_lock.acquire()
-                except Exception:
-                    log.exception("analysis failed for %s", path.name)
-                    self._quarantine(path)
-                    continue
-                if self.bus is not None:
-                    end_time = batch.t0 + max(batch.n_samples - 1, 0) * batch.dt
-                    self.bus.publish(MODEL_TOPIC, model, time=end_time)
-                self.published += 1
-                if self.on_model is not None:
-                    try:
-                        self.on_model(model, path)
-                    except Exception:
-                        log.exception("model callback failed for %s", path.name)
-                path.unlink()
-                return model
+    def _analyse(self, path: Path, batch: TimeSeriesBatch) -> CausalModel:
+        # `discover` is looked up at call time, so a wrapper set on this
+        # module (a delay, a timer) sees every batch
+        return discover(batch, self.params, self.te_params, batch_id=batch_id_for(path))
+
+    def _finish(self, path: Path, batch: TimeSeriesBatch,
+                analysis: Callable[[], CausalModel]) -> CausalModel | None:
+        """Publish the model `analysis()` returns, hand it to on_model and
+        delete the file; if it raises, quarantine the file and return None."""
+        try:
+            model = analysis()
+        except Exception:
+            log.exception("analysis failed for %s", path.name)
+            self._quarantine(path)
             return None
+        if self.bus is not None:
+            end_time = batch.t0 + max(batch.n_samples - 1, 0) * batch.dt
+            if end_time < self._model_time:
+                log.warning("%s ends at %g s, before the last model: published at %g s",
+                            path.name, end_time, self._model_time)
+            self._model_time = max(self._model_time, end_time)
+            self.bus.publish(MODEL_TOPIC, model, time=self._model_time)
+        self.published += 1
+        if self.on_model is not None:
+            try:
+                self.on_model(model, path)
+            except Exception:
+                log.exception("model callback failed for %s", path.name)
+        path.unlink()
+        return model
 
-    def wait_for_file_work(self) -> None:
-        """Return once the watcher is not touching files: at once if it is
-        idle or running `discover`."""
-        with self._file_lock:
-            pass
+    def process_once(self) -> CausalModel | None:
+        """Finish the oldest pending file, analysed inline unless step() has
+        it in analysis; returns its model, or None if the pool is empty
+        (files that fail are quarantined and the next is tried)."""
+        model = self.stop()
+        while model is None and (taken := self._take()) is not None:
+            model = self._finish(*taken, lambda: self._analyse(*taken))
+        return model
 
     def drain(self) -> list[CausalModel]:
-        """Process until the pool is empty; returns the models in order."""
+        """Process inline until the pool is empty; returns the models in order."""
         models = []
-        while True:
-            model = self.process_once()
-            if model is not None:
-                models.append(model)
-                continue
-            with self._file_lock:
-                if not self._pending():
-                    return models
+        while (model := self.process_once()) is not None:
+            models.append(model)
+        return models
 
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("watcher already started")
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, name="pool-watcher",
-                                        daemon=True)
-        self._thread.start()
+    def step(self) -> None:
+        """Finish the batch whose analysis has ended, then hand the oldest
+        readable pending file to the analysis thread. Returns at once, without
+        a pool scan, while a batch is still in analysis."""
+        if self._analysis is not None:
+            if not self._analysis[2].done():
+                return
+            self._end_analysis()
+        taken = self._take()
+        if taken is not None:
+            self._analysis = (*taken, self._analyst.submit(self._analyse, *taken))
 
-    def wake(self) -> None:
-        """Tell the background thread a file may have landed, so it scans
-        now instead of at the end of its poll_interval."""
-        self._wake.set()
+    def stop(self) -> CausalModel | None:
+        """Wait for the batch in analysis, if any, and finish it; returns its
+        model, or None if there was none or it was quarantined."""
+        return self._end_analysis() if self._analysis is not None else None
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            # cleared before the scan, so a wake() during it is not lost
-            self._wake.clear()
-            if self.process_once() is None:
-                self._wake.wait(self.poll_interval)
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._wake.set()
-        self._thread.join()
-        self._thread = None
+    def _end_analysis(self) -> CausalModel | None:
+        path, batch, future = self._analysis
+        self._analysis = None
+        return self._finish(path, batch, future.result)

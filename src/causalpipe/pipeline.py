@@ -1,29 +1,27 @@
 """End-to-end orchestration: simulate, collect, discover, export.
 
-One simulated clock drives the simulator and the collector in lockstep; the
-pool watcher runs in its own thread so causal analysis of one batch never
-blocks collection of the next. Every completed batch yields a JSON and a DOT
-model file in the output directory, and the run ends with a manifest
-(config echo, seed, per-batch timings, edge lists, artifact checksums, and
-`bus_dropped`: the state messages the collector's bounded subscriptions
-dropped). `wall_seconds` is the whole run; `generator_seconds` is its
-simulate-and-collect loop, without the final drain of the pool.
+One simulated clock drives the simulator and the collector in lockstep, and
+the same loop drives the pool watcher (PoolWatcher.step): it does every pool
+file operation itself, and the watcher's analysis thread only runs
+`discover`, so analysing one batch never blocks collection of the next. The
+loop steps the watcher once before the first tick, to take a backlog an
+earlier run left in the pool, and then only after a tick in which a CSV
+landed or while a batch is in analysis, so an idle watcher costs no scan.
+
+Every completed batch yields a JSON and a DOT model file in the output
+directory, and the run ends with a manifest (config echo, seed, per-batch
+timings, edge lists, artifact checksums, and `bus_dropped`: the state
+messages the collector's bounded subscriptions dropped). `wall_seconds` is
+the whole run; `generator_seconds` is its simulate-and-collect loop, without
+the final drain of the pool.
 
 A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
 file waited for the watcher. Landing times are taken on the simulation
 loop: after each collector tick, every file newly appended to
-`collector.files_written` is stamped with the current time, and the watcher
-is woken to take it. The manifest's checksums are of the bytes each model
-file was written with, not read back from disk.
-
-After each collector tick the loop also waits while the watcher touches
-files (PoolWatcher.wait_for_file_work): its pool scan, CSV read, model
-exports and delete. Blocked on that lock, the loop does not hold the
-interpreter lock, so each of those system calls returns to the watcher at
-once instead of after a switch interval of the CPU-bound loop. The watcher
-lets go of the lock while it runs `discover`, so collection never waits on
-analysis.
+`collector.files_written` is stamped with the current time. The manifest's
+checksums are of the bytes each model file was written with, not read back
+from disk.
 """
 
 from __future__ import annotations
@@ -122,13 +120,12 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
         new_files = collector.files_written[len(landed):]
         for path in new_files:
             landed[path.name] = time_mod.perf_counter()
-        if new_files:
-            watcher.wake()
-        watcher.wait_for_file_work()
+        if new_files or watcher.analysing:
+            watcher.step()
 
     started = time_mod.perf_counter()
-    watcher.start()
     try:
+        watcher.step()
         sim.publish_initial()
         tick(0.0)
         steps = round(config.duration / SIM_DT)

@@ -13,7 +13,7 @@ with loc 0 and scale 1, so the p-value has the same bits. It is the only SciPy
 function the package uses, and student_t_cdf() imports it on first use, so a
 program that never runs parcorr never loads SciPy (its import is most of the
 package's start-up time and about 20 MB). A PoolWatcher for parcorr calls it
-when it is built, so the import never lands on the watcher thread mid-stream.
+when it is built, so the import never lands on its analysis thread mid-stream.
 
 kridge_dcor_test plays the role of a GPDC-style test: the kernel ridge fit is
 the Gaussian-process posterior mean under fixed hyperparameters, which keeps

@@ -16,8 +16,8 @@ from causalpipe import cli, discovery
 from causalpipe.bus import MessageBus
 from causalpipe.collector import Collector, CollectorConfig
 from causalpipe.config import default_config
-from causalpipe.discovery import (MODEL_TOPIC, CausalModel, DiscoveryParams,
-                                  PoolWatcher, fpcmci, pcmci)
+from causalpipe.discovery import (MODEL_TOPIC, CausalModel, CIContext, DiscoveryParams,
+                                  LaggedVariable, PoolWatcher, fpcmci, pcmci)
 from causalpipe.postprocess import postprocess_batch
 from causalpipe.scm_bench import Edge, SCMSpec, generate, score
 from causalpipe.sim import SIM_DT, Simulator
@@ -135,6 +135,45 @@ def test_criterion_3_scenario_reproduction(tmp_path):
           "qualitative agreement with the expected interaction graph)")
 
 
+def test_h_dg_to_h_risk_leak_is_a_dependency_of_the_sampled_process(tmp_path,
+                                                                    monkeypatch):
+    # criterion 3's ceiling as evidence: at 5,000 rows pcmci + parcorr finds
+    # the two-hop leak h_dg -> h_risk in nearly every seed, and adding the
+    # contemporaneous speed h_v(t) to its MCI conditioning set does not block
+    # it, so a lever that raises all-four at 500 rows by finding more of this
+    # edge has found power, not a cure (README, "Known limitation")
+    config = default_config()
+    params = DiscoveryParams(alpha=0.05, tau_min=1, tau_max=1, ci_test="parcorr",
+                             method="pcmci")
+    names = ["h_v", "h_dg", "h_risk"]
+    leak = (LaggedVariable(names.index("h_dg"), 1), LaggedVariable(names.index("h_risk"), 0))
+    speed_now = LaggedVariable(names.index("h_v"), 0)
+    with_speed = []
+    test = CIContext.test
+
+    def also_given_speed(ctx, x, y, conds, *seed_parts):
+        if ctx.phase == "mci" and (x, y) == leak:
+            with_speed.append(test(ctx, x, y, [*conds, speed_now], *seed_parts).p_value)
+        return test(ctx, x, y, conds, *seed_parts)
+
+    monkeypatch.setattr(CIContext, "test", also_given_speed)
+    found = 0
+    for seed in range(10):
+        batch = read_csv(run_hri_batch(seed, config=config, duration=1500.0,
+                                       pool_dir=tmp_path / f"pool{seed}"))
+        assert batch.n_samples == 5000
+        assert batch.analysis_view()[0] == names
+        model = register(pcmci(batch, params, batch_id=f"leak-{seed}"))
+        found += ("h_dg", "h_risk", 1) in model.cross_edges()
+    rejected = sum(p <= params.alpha for p in with_speed)
+    assert len(with_speed) == 10
+    assert found >= 9, f"h_dg -> h_risk in only {found}/10 seeds"
+    assert rejected >= 9, f"given h_v(t) too, rejected in only {rejected}/10 seeds"
+    print(f"\n[criterion 3 reference] h_dg -> h_risk at 5,000 rows in {found}/10 seeds; "
+          f"given h_v(t) too, rejected in {rejected}/10 "
+          f"(median p {float(np.median(with_speed)):.3g})")
+
+
 def test_criterion_4_asynchrony_and_pool_semantics(tmp_path, monkeypatch):
     pool = tmp_path / "pool"
     pool.mkdir()
@@ -165,15 +204,15 @@ def test_criterion_4_asynchrony_and_pool_semantics(tmp_path, monkeypatch):
     coll_config = CollectorConfig(dt=0.3, batch_seconds=150.0, pool_dir=pool)
     collector = Collector(bus, coll_config,
                           lambda samples: postprocess_batch(samples, config.risk))
-    watcher = PoolWatcher(pool, DiscoveryParams(ci_test="parcorr"),
-                          bus=bus, poll_interval=0.02)
-    watcher.start()
+    watcher = PoolWatcher(pool, DiscoveryParams(ci_test="parcorr"), bus=bus)
     try:
         sim.publish_initial()
         collector.tick(0.0)
+        watcher.step()
         for k in range(1, round(450.0 / SIM_DT) + 1):
             sim.step(SIM_DT)
             collector.tick(k * SIM_DT)
+            watcher.step()
         published_during_run = watcher.published
         backlog_at_end = len(list(pool.glob("*.csv")))
     finally:

@@ -1,18 +1,21 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causalpipe import cli
-from causalpipe.discovery import DiscoveryParams, PoolWatcher
+from causalpipe import cli, discovery
+from causalpipe.bus import MessageBus
+from causalpipe.discovery import MODEL_TOPIC, DiscoveryParams, PoolWatcher
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams
-from causalpipe.timeseries import read_csv, write_csv
+from causalpipe.timeseries import TimeSeriesBatch, read_csv, write_csv
 
 
 def fast_run_args(out_dir, extra=()):
@@ -59,20 +62,56 @@ def test_manifest_digests_are_of_the_model_files_on_disk(tmp_path):
             assert row[f"sha256_{kind}"] == on_disk, (row["batch_id"], kind)
 
 
-def test_the_watcher_is_woken_once_per_landed_csv(tmp_path, monkeypatch):
-    wakes = []
-    wake = PoolWatcher.wake
+def test_the_pool_is_scanned_only_when_a_csv_lands_or_a_batch_finishes(tmp_path,
+                                                                       monkeypatch):
+    # 72 s of 0.05 s steps is 1,441 collector ticks and 3 batches: at most one
+    # scan at the start, one per landing, one per finished batch and one for
+    # the final drain, all on the thread that runs the pipeline
+    scans = []
+    pending = PoolWatcher._pending
 
-    def counting_wake(self):
-        wakes.append(self)
-        wake(self)
+    def counting(self):
+        scans.append(threading.get_ident())
+        return pending(self)
 
-    monkeypatch.setattr(PoolWatcher, "wake", counting_wake)
+    monkeypatch.setattr(PoolWatcher, "_pending", counting)
     out = tmp_path / "out"
     assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["csv_files_written"] == 3
-    assert len(wakes) == 3
+    assert 4 <= len(scans) <= 1 + 3 + 3 + 1, len(scans)
+    assert set(scans) == {threading.get_ident()}
+
+
+def test_a_run_over_a_reused_pool_analyses_every_batch(tmp_path, monkeypatch, caplog):
+    # an earlier run's later batch is left in the pool, as --quiet-abort
+    # leaves it; the batches this run collects end before it, so their
+    # models are published at its time, with a warning, never back in time
+    out = tmp_path / "out"
+    (out / "pool").mkdir(parents=True)
+    times = 216.0 + 0.3 * np.arange(80)
+    rows = np.random.default_rng(0).standard_normal((80, 3))
+    write_csv(TimeSeriesBatch(["time", "h_v", "h_dg", "h_risk"], 216.0, 0.3,
+                              np.column_stack([times, rows])),
+              out / "pool" / "data_00009_000000216000.csv")
+    published = []
+    publish = MessageBus.publish
+
+    def recording(self, topic, payload, time):
+        if topic == MODEL_TOPIC:
+            published.append((payload.batch_id, time))
+        publish(self, topic, payload, time)
+
+    monkeypatch.setattr(MessageBus, "publish", recording)
+    with caplog.at_level(logging.WARNING, logger="causalpipe.discovery"):
+        assert cli.main(fast_run_args(out, extra=["--duration", "48"])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(row["batch_id"] for row in manifest["batches"]) == ["0", "1", "9"]
+    assert sorted(batch_id for batch_id, _ in published) == ["0", "1", "9"]
+    assert [t for _, t in published] == sorted(t for _, t in published)
+    warned = " ".join(r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
+    assert "data_00000_000000000000.csv" in warned
+    assert "data_00001_000000024000.csv" in warned
 
 
 def test_failed_manifest_replace_keeps_old_manifest(tmp_path, monkeypatch):
@@ -391,11 +430,28 @@ def test_bench_discovery_overrides_become_one_params(tmp_path):
                                         kridge=KernelRegParams(permutations=60))
 
 
-def test_quiet_abort_leaves_backlog(tmp_path):
+def test_quiet_abort_leaves_backlog(tmp_path, monkeypatch):
+    # no analysis can end before the run stops its watcher: the stop finishes
+    # the one batch in analysis, and quiet-abort leaves the other two
+    stopped = threading.Event()
+    stop, analyse = PoolWatcher.stop, discovery.discover
+
+    def stopping(self):
+        stopped.set()
+        stop(self)
+
+    def blocked(*args, **kwargs):
+        if not stopped.wait(30.0):
+            raise TimeoutError("the run waited on analysis")
+        return analyse(*args, **kwargs)
+
+    monkeypatch.setattr(PoolWatcher, "stop", stopping)
+    monkeypatch.setattr(discovery, "discover", blocked)
     out = tmp_path / "out"
-    rc = cli.main(fast_run_args(out, extra=["--quiet-abort"]))
+    rc = cli.main(fast_run_args(out, extra=["--duration", "72", "--quiet-abort"]))
     assert rc == 0
-    # the batch may or may not have been picked up before shutdown; what
-    # quiet-abort guarantees is that the run does not wait for the backlog
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["csv_files_written"] == 1
+    assert manifest["csv_files_written"] == 3
+    assert [row["batch_id"] for row in manifest["batches"]] == ["0"]
+    assert sorted(p.name for p in (out / "pool").glob("*.csv")) == [
+        "data_00001_000000024000.csv", "data_00002_000000048000.csv"]

@@ -11,6 +11,7 @@ import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -735,16 +736,24 @@ def test_watcher_keeps_every_quarantined_file(tmp_path):
     assert kept == ["a,b\n1.0\n", "a,b\n2.0\n"]
 
 
+def step_until_idle(watcher, seconds=30.0):
+    """Step the watcher until no batch is in analysis (or `seconds` pass)."""
+    watcher.step()
+    deadline = time.perf_counter() + seconds
+    while watcher.analysing and time.perf_counter() < deadline:
+        time.sleep(0.005)
+        watcher.step()
+
+
 def test_watcher_background_thread_processes(tmp_path):
+    # step() hands the batch to the analysis thread and returns; a later
+    # step() publishes it and deletes the file
     pool = tmp_path / "pool"
     pool.mkdir()
     write_pool_file(pool, 0, seed=1)
-    watcher = PoolWatcher(pool, PARCORR, poll_interval=0.01)
-    watcher.start()
-    deadline = time.time() + 5.0
-    while time.time() < deadline and watcher.published < 1:
-        time.sleep(0.01)
-    watcher.stop()
+    watcher = PoolWatcher(pool, PARCORR)
+    step_until_idle(watcher)
+    assert not watcher.analysing
     assert watcher.published == 1
     assert list(pool.glob("*.csv")) == []
 
@@ -761,92 +770,24 @@ def test_watcher_quarantines_invalid_utf8(tmp_path):
     assert (watcher.quarantined, watcher.published) == (1, 1)
 
 
-def started_idle_watcher(pool):
-    """A background watcher with a 60 s poll that has scanned the empty pool
-    once and is waiting, and the list its scans are counted in."""
-    watcher = PoolWatcher(pool, PARCORR, poll_interval=60.0)
+def counting_scans(watcher):
+    """Replace the watcher's pool scan with one that records the thread of
+    every call; returns that list."""
     scans = []
-    scanned = threading.Event()
     pending = watcher._pending
 
     def spy():
-        found = pending()
-        scans.append(len(found))
-        scanned.set()
-        return found
+        scans.append(threading.get_ident())
+        return pending()
 
     watcher._pending = spy
-    watcher.start()
-    assert scanned.wait(5.0)
-    return watcher, scans
+    return scans
 
 
-def test_wake_makes_a_waiting_watcher_take_a_dropped_file(tmp_path):
-    pool = tmp_path / "pool"
-    pool.mkdir()
-    watcher, scans = started_idle_watcher(pool)
-    try:
-        write_pool_file(pool, 0, seed=1)
-        time.sleep(0.3)
-        assert watcher.published == 0  # not before its poll ends or a wake
-        woken = time.perf_counter()
-        watcher.wake()
-        while watcher.published < 1 and time.perf_counter() - woken < 2.0:
-            time.sleep(0.005)
-        assert watcher.published == 1
-        assert list(pool.glob("*.csv")) == []
-        # one wake is spent: after one more scan of the empty pool it waits again
-        time.sleep(0.3)
-        assert len(scans) <= 4, scans
-    finally:
-        watcher.stop()
-
-
-def test_stop_returns_while_the_watcher_waits(tmp_path):
-    pool = tmp_path / "pool"
-    pool.mkdir()
-    watcher, _ = started_idle_watcher(pool)
-    waiting = watcher._thread
-    stopper = threading.Thread(target=watcher.stop)
-    stopper.start()
-    stopper.join(2.0)  # well inside the 60 s poll
-    assert not stopper.is_alive()
-    assert not waiting.is_alive()
-
-
-def returns_within(fn, seconds):
-    """Whether `fn()`, called on another thread, returns within `seconds`."""
-    caller = threading.Thread(target=fn, daemon=True)
-    caller.start()
-    caller.join(seconds)
-    return not caller.is_alive()
-
-
-def test_wait_for_file_work_blocks_while_the_watcher_exports(tmp_path):
-    pool = tmp_path / "pool"
-    pool.mkdir()
-    write_pool_file(pool, 0, seed=1)
-    exporting, release = threading.Event(), threading.Event()
-
-    def on_model(model, path):
-        exporting.set()
-        release.wait(30.0)
-
-    watcher = PoolWatcher(pool, PARCORR, on_model=on_model)
-    worker = threading.Thread(target=watcher.process_once)
-    worker.start()
-    try:
-        assert exporting.wait(30.0)
-        assert not returns_within(watcher.wait_for_file_work, 0.3)
-    finally:
-        release.set()
-        worker.join(30.0)
-    assert not worker.is_alive()
-    assert returns_within(watcher.wait_for_file_work, 5.0)
-    assert watcher.published == 1
-
-
-def test_wait_for_file_work_returns_while_discover_runs(tmp_path, monkeypatch):
+def test_step_returns_while_discover_runs(tmp_path, monkeypatch):
+    # a step while the batch is in analysis returns at once and does not
+    # scan the pool; the step after the analysis ends finishes the batch
+    # and scans once, for the next one
     pool = tmp_path / "pool"
     pool.mkdir()
     write_pool_file(pool, 0, seed=1)
@@ -860,21 +801,70 @@ def test_wait_for_file_work_returns_while_discover_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(discovery, "discover", blocked)
     watcher = PoolWatcher(pool, PARCORR)
-    worker = threading.Thread(target=watcher.process_once)
-    worker.start()
+    scans = counting_scans(watcher)
     try:
+        watcher.step()
         assert analysing.wait(30.0)
-        assert returns_within(watcher.wait_for_file_work, 5.0)
+        for _ in range(100):
+            watcher.step()
+        assert (watcher.analysing, watcher.published, len(scans)) == (True, 0, 1)
     finally:
         release.set()
-        worker.join(30.0)
-    assert not worker.is_alive()
-    assert watcher.published == 1
+    step_until_idle(watcher)
+    assert (watcher.published, len(scans)) == (1, 2)
+    assert list(pool.glob("*.csv")) == []
 
 
-def test_file_lock_is_let_go_after_a_failure(tmp_path, monkeypatch):
-    # each way a batch can fail inside the locked section, in turn; a
-    # generator waiting for the watcher's file work must never be left stuck
+def test_every_pool_file_operation_runs_on_the_stepping_thread(tmp_path, monkeypatch):
+    # an unreadable file, a batch whose analysis raises and a good batch,
+    # stepped from a thread of their own: scan, read, publish, on_model,
+    # delete and quarantine all run there, and only `discover` elsewhere
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "data_00000_000000000000.csv").write_text("a,b\n1.0\n", encoding="utf-8")
+    write_pool_file(pool, 1, seed=1)
+    write_pool_file(pool, 2, seed=2)
+    threads = {}
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    analyse = discovery.discover
+
+    def discover_failing_batch_1(batch, params, te_params, batch_id):
+        if batch_id == "1":
+            raise FloatingPointError("injected")
+        return analyse(batch, params, te_params, batch_id=batch_id)
+
+    monkeypatch.setattr(discovery, "discover", record("discover", discover_failing_batch_1))
+    monkeypatch.setattr(discovery, "read_csv", record("read", discovery.read_csv))
+    monkeypatch.setattr(Path, "unlink", record("delete", Path.unlink))
+    bus = MessageBus()
+    bus.create_topic(MODEL_TOPIC, CausalModel)
+    bus.publish = record("publish", bus.publish)
+    watcher = PoolWatcher(pool, PARCORR, bus=bus,
+                          on_model=record("on_model", lambda model, path: None))
+    watcher._pending = record("scan", watcher._pending)
+    watcher._quarantine = record("quarantine", watcher._quarantine)
+    driver = threading.Thread(target=step_until_idle, args=(watcher,))
+    driver.start()
+    driver.join(60.0)
+    assert not driver.is_alive()
+    assert (watcher.published, watcher.quarantined) == (1, 2)
+    assert list(pool.glob("*.csv")) == []
+    file_ops = ("scan", "read", "publish", "on_model", "delete", "quarantine")
+    assert {name: threads[name] for name in file_ops} == {name: {driver.ident}
+                                                          for name in file_ops}
+    assert len(threads["discover"]) == 1
+    assert threads["discover"].isdisjoint({driver.ident, threading.get_ident()})
+
+
+def test_step_goes_on_after_each_failure(tmp_path, monkeypatch, caplog):
+    # each way a batch can fail, in turn; the watcher takes the next batch
+    # after every one, and a failed scan reaches the caller unchanged
     pool = tmp_path / "pool"
     pool.mkdir()
 
@@ -886,21 +876,42 @@ def test_file_lock_is_let_go_after_a_failure(tmp_path, monkeypatch):
 
     watcher = PoolWatcher(pool, PARCORR, on_model=failing_callback)
     (pool / "data_00000_000000000000.csv").write_text("a,b\n1.0\n", encoding="utf-8")
-    assert watcher.process_once() is None  # unreadable: quarantined
-    assert returns_within(watcher.wait_for_file_work, 5.0)
+    step_until_idle(watcher)  # unreadable: quarantined
     write_pool_file(pool, 1, seed=1)
     with monkeypatch.context() as patch:
         patch.setattr(discovery, "discover", failing_discover)
-        assert watcher.process_once() is None  # analysis raised: quarantined
-    assert returns_within(watcher.wait_for_file_work, 5.0)
+        step_until_idle(watcher)  # analysis raised: quarantined
     write_pool_file(pool, 2, seed=1)
-    assert watcher.process_once() is not None  # the callback raised: logged
-    assert returns_within(watcher.wait_for_file_work, 5.0)
+    with caplog.at_level(logging.ERROR, logger="causalpipe.discovery"):
+        step_until_idle(watcher)  # the callback raised: logged, published
+    assert any("model callback failed" in r.getMessage() for r in caplog.records)
+    assert (watcher.quarantined, watcher.published) == (2, 1)
+    assert list(pool.glob("*.csv")) == []
     shutil.rmtree(pool)
     with pytest.raises(FileNotFoundError):  # the scan itself raised
-        watcher.process_once()
-    assert returns_within(watcher.wait_for_file_work, 5.0)
-    assert (watcher.quarantined, watcher.published) == (2, 1)
+        watcher.step()
+    assert not watcher.analysing
+
+
+def test_stop_finishes_the_batch_in_analysis(tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    watcher = PoolWatcher(pool, PARCORR)
+    scans = counting_scans(watcher)
+    assert watcher.stop() is None  # nothing in analysis: at once, without a scan
+    assert scans == []
+    for idx in range(3):
+        write_pool_file(pool, idx, seed=idx)
+    watcher.step()
+    assert watcher.stop().batch_id == "0"
+    assert (watcher.analysing, watcher.published) == (False, 1)
+    assert sorted(p.name for p in pool.glob("*.csv")) == [
+        "data_00001_000000000001.csv", "data_00002_000000000002.csv"]
+    # the inline path finishes a batch still in analysis first, and never
+    # analyses its file a second time
+    watcher.step()
+    assert [m.batch_id for m in watcher.drain()] == ["1", "2"]
+    assert (watcher.analysing, watcher.published) == (False, 3)
 
 
 def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, caplog):
@@ -924,15 +935,16 @@ def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, ca
 
 
 def test_interpreter_exit_mid_batch_quarantines_nothing(tmp_path):
-    # a daemon watcher still analysing when the interpreter exits finds the
-    # thread pool closed; the batch must stay in the pool, not be quarantined
+    # a watcher's analysis thread still inside a batch when the interpreter
+    # exits finds the thread pool closed; with no step() left to finish it,
+    # the batch must stay in the pool, not be quarantined
     pool = tmp_path / "pool"
     pool.mkdir()
     write_pool_file(pool, 0, seed=1)
     script = ("import sys, time\n"
               "from causalpipe.discovery import DiscoveryParams, PoolWatcher\n"
               "params = DiscoveryParams(ci_test='kridge_dcor', method='fpcmci')\n"
-              "PoolWatcher(sys.argv[1], params, poll_interval=0.01).start()\n"
+              "PoolWatcher(sys.argv[1], params).step()\n"
               "time.sleep(0.05)\n")
     src = os.path.dirname(os.path.dirname(discovery.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -942,6 +954,7 @@ def test_interpreter_exit_mid_batch_quarantines_nothing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "analysis failed" not in proc.stderr
     assert not (pool / "quarantine").exists()
+    assert [p.name for p in pool.glob("*.csv")] == ["data_00000_000000000000.csv"]
 
 
 def test_batch_id_from_filename():
