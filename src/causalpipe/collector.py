@@ -12,6 +12,8 @@ there. The collector never waits on discovery.
 from __future__ import annotations
 
 import logging
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -57,9 +59,20 @@ class CollectorConfig:
         return round(self.batch_seconds / self.dt)
 
 
+_POOL_FILE_RE = re.compile(r"^data_(\d+)_(\d+)\.csv$")
+
+
 def batch_filename(batch_index: int, t0: float) -> str:
     """Strictly increasing names so lexicographic order is creation order."""
     return f"data_{batch_index:05d}_{round(t0 * 1000):012d}.csv"
+
+
+def batch_id_for(path: Path) -> str:
+    """Batch id from a pool filename; collector files map to their index."""
+    m = _POOL_FILE_RE.match(path.name)
+    if m:
+        return str(int(m.group(1)))
+    return path.stem
 
 
 def finalize_batch(buffer: list[RawSample], postprocessor: Postprocessor,
@@ -80,7 +93,11 @@ def finalize_batch(buffer: list[RawSample], postprocessor: Postprocessor,
 
 
 class Collector:
-    """Samples both state topics on a fixed grid and emits batch files."""
+    """Samples both state topics on a fixed grid and emits batch files.
+
+    Batch indices start one past the highest index pending in the pool, so
+    a reused pool never gets a second file, or model, under a pending name.
+    """
 
     def __init__(self, bus: MessageBus, config: CollectorConfig,
                  postprocessor: Postprocessor,
@@ -94,11 +111,12 @@ class Collector:
         self._t0: float | None = None
         self._grid_index = 0
         self._buffer: list[RawSample] = []
-        self.batch_index = 0
         self.files_written: list[Path] = []
         self.samples_taken = 0
         self.samples_skipped = 0
         config.pool_dir.mkdir(parents=True, exist_ok=True)
+        pending = (_POOL_FILE_RE.match(n) for n in os.listdir(config.pool_dir))
+        self.batch_index = 1 + max((int(m.group(1)) for m in pending if m), default=-1)
 
     @property
     def dropped(self) -> int:

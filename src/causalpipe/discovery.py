@@ -41,7 +41,7 @@ A PoolWatcher reproduces the batch worker: it scans a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
 deletes the file afterwards (corrupt files are quarantined, never silently
 dropped). A watcher is driven from one thread, which does every pool file
-operation; with step() its analysis thread only runs `discover`.
+operation; its analysis thread only runs `discover`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import json
 import logging
 import math
 import os
-import re
 import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -63,6 +62,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bus import MessageBus
+from .collector import batch_id_for
 from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
                     KernelRidgeCache, TEParams, kridge_dcor_test, parcorr_test,
                     student_t_cdf, te_significance)
@@ -222,13 +222,7 @@ def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True) -> list[A
     if not pooled:
         return [fn(*job) for job in jobs]
     pool = _executor()
-    try:
-        futures = [pool.submit(fn, *job) for job in jobs]
-    except RuntimeError:
-        # The pool takes no new work once the interpreter has begun to exit.
-        # A watcher's analysis thread still inside a batch then finishes it
-        # on its own thread instead of failing and quarantining a good file.
-        return [fn(*job) for job in jobs]
+    futures = [pool.submit(fn, *job) for job in jobs]
     try:
         return [f.result() for f in futures]
     except BaseException:
@@ -570,17 +564,6 @@ def export_model(model: CausalModel, format: str, path: str | Path) -> bytes:
 
 # --- pool watcher ------------------------------------------------------------
 
-_POOL_FILE_RE = re.compile(r"^data_(\d+)_(\d+)\.csv$")
-
-
-def batch_id_for(path: Path) -> str:
-    """Batch id from a pool filename; collector files map to their index."""
-    m = _POOL_FILE_RE.match(path.name)
-    if m:
-        return str(int(m.group(1)))
-    return path.stem
-
-
 class PoolWatcher:
     """Sequential worker over a pool directory of CSV batches.
 
@@ -595,8 +578,9 @@ class PoolWatcher:
 
     A watcher is driven from one thread, which does every pool file
     operation (scan, read, publish and on_model, delete or quarantine).
-    process_once and drain analyse inline; step() hands each batch to the
-    watcher's analysis thread, which only runs `discover`, and never waits.
+    Every batch is analysed on the watcher's analysis thread, which only
+    runs `discover`: step() hands it the next batch and never waits, and
+    stop() and drain() wait for it.
     """
 
     def __init__(self, pool_dir: str | Path, params: DiscoveryParams,
@@ -639,7 +623,7 @@ class PoolWatcher:
             log.error("cannot quarantine %s: file vanished", path.name)
             return
         self.quarantine_dir.mkdir(exist_ok=True)
-        # a reused pool restarts the batch names: never overwrite an earlier file
+        # an emptied pool restarts the batch names: never overwrite an earlier file
         target = self.quarantine_dir / path.name
         copies = 0
         while target.exists():
@@ -660,17 +644,14 @@ class PoolWatcher:
                 self._quarantine(path)
         return None
 
-    def _analyse(self, path: Path, batch: TimeSeriesBatch) -> CausalModel:
-        # `discover` is looked up at call time, so a wrapper set on this
-        # module (a delay, a timer) sees every batch
-        return discover(batch, self.params, self.te_params, batch_id=batch_id_for(path))
-
-    def _finish(self, path: Path, batch: TimeSeriesBatch,
-                analysis: Callable[[], CausalModel]) -> CausalModel | None:
-        """Publish the model `analysis()` returns, hand it to on_model and
-        delete the file; if it raises, quarantine the file and return None."""
+    def _finish(self) -> CausalModel | None:
+        """Wait for the batch in analysis and finish it: publish its model,
+        hand it to on_model and delete the file; if the analysis raised,
+        quarantine the file and return None."""
+        path, batch, future = self._analysis
+        self._analysis = None
         try:
-            model = analysis()
+            model = future.result()
         except Exception:
             log.exception("analysis failed for %s", path.name)
             self._quarantine(path)
@@ -691,22 +672,6 @@ class PoolWatcher:
         path.unlink()
         return model
 
-    def process_once(self) -> CausalModel | None:
-        """Finish the oldest pending file, analysed inline unless step() has
-        it in analysis; returns its model, or None if the pool is empty
-        (files that fail are quarantined and the next is tried)."""
-        model = self.stop()
-        while model is None and (taken := self._take()) is not None:
-            model = self._finish(*taken, lambda: self._analyse(*taken))
-        return model
-
-    def drain(self) -> list[CausalModel]:
-        """Process inline until the pool is empty; returns the models in order."""
-        models = []
-        while (model := self.process_once()) is not None:
-            models.append(model)
-        return models
-
     def step(self) -> None:
         """Finish the batch whose analysis has ended, then hand the oldest
         readable pending file to the analysis thread. Returns at once, without
@@ -714,17 +679,27 @@ class PoolWatcher:
         if self._analysis is not None:
             if not self._analysis[2].done():
                 return
-            self._end_analysis()
+            self._finish()
         taken = self._take()
         if taken is not None:
-            self._analysis = (*taken, self._analyst.submit(self._analyse, *taken))
+            path, batch = taken
+            # `discover` is looked up on every step, so a wrapper set on this
+            # module (a delay, a timer) sees every batch
+            self._analysis = (path, batch, self._analyst.submit(
+                discover, batch, self.params, self.te_params, batch_id=batch_id_for(path)))
 
     def stop(self) -> CausalModel | None:
         """Wait for the batch in analysis, if any, and finish it; returns its
         model, or None if there was none or it was quarantined."""
-        return self._end_analysis() if self._analysis is not None else None
+        return self._finish() if self._analysis is not None else None
 
-    def _end_analysis(self) -> CausalModel | None:
-        path, batch, future = self._analysis
-        self._analysis = None
-        return self._finish(path, batch, future.result)
+    def drain(self) -> list[CausalModel]:
+        """Analyse until the pool is empty, one batch at a time on the
+        analysis thread; returns the models in order."""
+        models = []
+        while True:
+            if (model := self.stop()) is not None:
+                models.append(model)
+            self.step()
+            if not self.analysing:
+                return models

@@ -7,6 +7,8 @@ file operation itself, and the watcher's analysis thread only runs
 loop steps the watcher once before the first tick, to take a backlog an
 earlier run left in the pool, and then only after a tick in which a CSV
 landed or while a batch is in analysis, so an idle watcher costs no scan.
+When the loop ends, `drain()` runs the backlog through the same step(),
+waiting for each batch; a quiet abort only finishes the batch in analysis.
 
 Every completed batch yields a JSON and a DOT model file in the output
 directory, and the run ends with a manifest (config echo, seed, per-batch
@@ -134,9 +136,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
             tick(k * SIM_DT)
         generator_seconds = time_mod.perf_counter() - started
     finally:
-        watcher.stop()
-        if drain_pool:
-            watcher.drain()
+        watcher.drain() if drain_pool else watcher.stop()
 
     result.csv_files_written = len(collector.files_written)
     result.quarantined = watcher.quarantined

@@ -84,14 +84,6 @@ class AgentState:
             raise ValidationError(f"body_radius must be > 0, got {self.body_radius}")
         object.__setattr__(self, "goal", (float(goal[0]), float(goal[1])))
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.pose.x, self.pose.y)
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.velocity.vx, self.velocity.vy)
-
 
 class StateMerger:
     """Fuses per-agent input streams into AgentState messages.

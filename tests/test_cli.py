@@ -106,12 +106,12 @@ def test_a_run_over_a_reused_pool_analyses_every_batch(tmp_path, monkeypatch, ca
     with caplog.at_level(logging.WARNING, logger="causalpipe.discovery"):
         assert cli.main(fast_run_args(out, extra=["--duration", "48"])) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(row["batch_id"] for row in manifest["batches"]) == ["0", "1", "9"]
-    assert sorted(batch_id for batch_id, _ in published) == ["0", "1", "9"]
+    assert sorted(row["batch_id"] for row in manifest["batches"]) == ["10", "11", "9"]
+    assert sorted(batch_id for batch_id, _ in published) == ["10", "11", "9"]
     assert [t for _, t in published] == sorted(t for _, t in published)
     warned = " ".join(r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
-    assert "data_00000_000000000000.csv" in warned
-    assert "data_00001_000000024000.csv" in warned
+    assert "data_00010_000000000000.csv" in warned
+    assert "data_00011_000000024000.csv" in warned
 
 
 def test_failed_manifest_replace_keeps_old_manifest(tmp_path, monkeypatch):
@@ -455,3 +455,21 @@ def test_quiet_abort_leaves_backlog(tmp_path, monkeypatch):
     assert [row["batch_id"] for row in manifest["batches"]] == ["0"]
     assert sorted(p.name for p in (out / "pool").glob("*.csv")) == [
         "data_00001_000000024000.csv", "data_00002_000000048000.csv"]
+
+
+def test_a_run_after_a_quiet_abort_analyses_its_backlog_once(tmp_path, monkeypatch):
+    # the second run names its batches past the two the first left, so it
+    # overwrites no pending CSV and no model file, and deletes none unanalysed
+    test_quiet_abort_leaves_backlog(tmp_path, monkeypatch)
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = manifest["batches"]
+    assert sorted(row["csv"] for row in rows) == [
+        "data_00001_000000024000.csv", "data_00002_000000048000.csv",
+        "data_00003_000000000000.csv", "data_00004_000000024000.csv",
+        "data_00005_000000048000.csv"]
+    assert sorted(int(row["batch_id"]) for row in rows) == [1, 2, 3, 4, 5]
+    assert (manifest["models_published"], manifest["quarantined"]) == (5, 0)
+    assert list((out / "pool").glob("*.csv")) == []

@@ -171,6 +171,19 @@ def test_batch_filename_is_zero_padded():
     assert batch_filename(3, 450.0) == "data_00003_000000450000.csv"
 
 
+def test_batch_index_starts_past_the_pending_batches(rig):
+    # only pending collector names count: a quarantined file or another CSV
+    # does not move the start
+    bus, _, _, tmp = rig
+    config = CollectorConfig(dt=0.3, batch_seconds=30.0, pool_dir=tmp / "pool")
+    assert Collector(bus, config, identity_batch).batch_index == 0
+    (tmp / "pool" / "quarantine").mkdir()
+    for name in ("quarantine/data_00020_000000000000.csv", "custom_00030.csv",
+                 "data_00004_000000450000.csv", "data_00002_000000600000.csv"):
+        (tmp / "pool" / name).write_text("t\n", encoding="utf-8")
+    assert Collector(bus, config, identity_batch).batch_index == 5
+
+
 def test_finalize_batch_writes_where_told(tmp_path):
     h = AgentState("human", 0.0, Pose2D(0, 0, 0), Velocity2D(0, 0, 0), (1, 1), 0.3)
     r = AgentState("robot", 0.0, Pose2D(3, 0, 0), Velocity2D(0, 0, 0), (0, 0), 0.3)

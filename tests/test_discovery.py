@@ -700,7 +700,7 @@ def test_watcher_idles_on_empty_pool(tmp_path):
     pool = tmp_path / "pool"
     pool.mkdir()
     watcher = PoolWatcher(pool, PARCORR)
-    assert watcher.process_once() is None
+    assert watcher.drain() == []
     assert watcher.published == 0
 
 
@@ -730,7 +730,7 @@ def test_watcher_keeps_every_quarantined_file(tmp_path):
     watcher = PoolWatcher(pool, PARCORR)
     for text in ("a,b\n1.0\n", "a,b\n2.0\n"):
         (pool / "data_00000_000000000000.csv").write_text(text, encoding="utf-8")
-        assert watcher.process_once() is None
+        assert watcher.drain() == []
     assert watcher.quarantined == 2
     kept = sorted(p.read_text(encoding="utf-8") for p in (pool / "quarantine").iterdir())
     assert kept == ["a,b\n1.0\n", "a,b\n2.0\n"]
@@ -815,10 +815,14 @@ def test_step_returns_while_discover_runs(tmp_path, monkeypatch):
     assert list(pool.glob("*.csv")) == []
 
 
-def test_every_pool_file_operation_runs_on_the_stepping_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("drive", [step_until_idle, PoolWatcher.drain],
+                         ids=["step", "drain"])
+def test_every_pool_file_operation_runs_on_the_stepping_thread(drive, tmp_path,
+                                                               monkeypatch):
     # an unreadable file, a batch whose analysis raises and a good batch,
-    # stepped from a thread of their own: scan, read, publish, on_model,
-    # delete and quarantine all run there, and only `discover` elsewhere
+    # stepped or drained from a thread of their own: scan, read, publish,
+    # on_model, delete and quarantine all run there, and only `discover` on
+    # the analysis thread
     pool = tmp_path / "pool"
     pool.mkdir()
     (pool / "data_00000_000000000000.csv").write_text("a,b\n1.0\n", encoding="utf-8")
@@ -849,7 +853,7 @@ def test_every_pool_file_operation_runs_on_the_stepping_thread(tmp_path, monkeyp
                           on_model=record("on_model", lambda model, path: None))
     watcher._pending = record("scan", watcher._pending)
     watcher._quarantine = record("quarantine", watcher._quarantine)
-    driver = threading.Thread(target=step_until_idle, args=(watcher,))
+    driver = threading.Thread(target=drive, args=(watcher,))
     driver.start()
     driver.join(60.0)
     assert not driver.is_alive()
@@ -907,11 +911,27 @@ def test_stop_finishes_the_batch_in_analysis(tmp_path):
     assert (watcher.analysing, watcher.published) == (False, 1)
     assert sorted(p.name for p in pool.glob("*.csv")) == [
         "data_00001_000000000001.csv", "data_00002_000000000002.csv"]
-    # the inline path finishes a batch still in analysis first, and never
+    # drain() finishes the batch still in analysis first, and never
     # analyses its file a second time
     watcher.step()
     assert [m.batch_id for m in watcher.drain()] == ["1", "2"]
     assert (watcher.analysing, watcher.published) == (False, 3)
+
+
+def test_drain_quarantines_every_batch_whose_analysis_raised(tmp_path, monkeypatch):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    for idx in range(3):
+        write_pool_file(pool, idx, seed=idx)
+
+    def failing(*args, **kwargs):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(discovery, "discover", failing)
+    watcher = PoolWatcher(pool, PARCORR)
+    assert watcher.drain() == []
+    assert (watcher.quarantined, watcher.published, watcher.analysing) == (3, 0, False)
+    assert list(pool.glob("*.csv")) == []
 
 
 def test_watcher_quarantines_batch_whose_worker_raised(tmp_path, monkeypatch, caplog):

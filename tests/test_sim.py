@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
+from causalpipe.postprocess import human_speed
 from causalpipe.sim import (DEFAULT_BOUNDS, Bounds, GoalSamplingError, RobotPath,
                             SFMParams, SIM_DT, Simulator, _clamp_to_bounds,
                             agent_repulsion_force, goal_attraction_force, sample_goal)
@@ -238,7 +239,7 @@ def test_speed_ramps_to_desired_speed_within_five_seconds():
     sim.world.human = agent(x=5.0, y=5.0, goal=(900.0, 5.0))
     for _ in range(100):  # 5 s at 0.05
         sim.step(SIM_DT)
-    speed = sim.world.human.speed
+    speed = human_speed(sim.world.human)
 
     # independent reference: dv/dt = (v_max - v)/tau on the approach axis
     v_ref, dt_ref = 0.0, 0.001
@@ -254,9 +255,9 @@ def test_zero_force_zero_velocity_stays_put():
     sim = Simulator(sfm=sfm, path=path, bounds=Bounds(0, 0, 1000, 1000), seed=0)
     # at the goal with zero velocity: attraction brakes (zero), repulsion ~0
     sim.world.human = agent(x=5.0, y=5.0, goal=(5.0, 5.0))
-    before = sim.world.human.position
+    before = (sim.world.human.pose.x, sim.world.human.pose.y)
     sim.step(SIM_DT)
-    after = sim.world.human.position
+    after = (sim.world.human.pose.x, sim.world.human.pose.y)
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -286,7 +287,7 @@ def test_speed_never_exceeds_bound():
     sim = Simulator(seed=1)
     for _ in range(2000):
         sim.step(SIM_DT)
-        assert sim.world.human.speed <= sim.sfm.desired_speed + 1e-9
+        assert human_speed(sim.world.human) <= sim.sfm.desired_speed + 1e-9
 
 
 def test_determinism_bit_identical_streams():
