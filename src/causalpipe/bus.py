@@ -34,7 +34,7 @@ class MessageKindError(BusError, TypeError):
     """Payload does not match the kind the topic was declared with."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """One delivered message: simulation-clock publish time plus payload."""
 
@@ -65,6 +65,17 @@ class Subscription:
             out = list(self._queue)
             self._queue.clear()
         return out
+
+    def take_newest(self) -> Envelope | None:
+        """Return the newest queued envelope (None if none) and empty the
+        queue; the envelopes before it are discarded unread."""
+        with self._lock:
+            queue = self._queue
+            if not queue:
+                return None
+            newest = queue[-1]
+            queue.clear()
+        return newest
 
     def __len__(self) -> int:
         with self._lock:
@@ -116,8 +127,9 @@ class MessageBus:
         Publish times must be non-decreasing per topic (single simulated
         clock); a regression indicates a wiring bug and raises.
         """
-        t = self._topics.get(topic)
-        if t is None:
+        try:
+            t = self._topics[topic]
+        except KeyError:
             t = self.topic(topic)  # raises UnknownTopicError
         if not isinstance(payload, t.kind):
             raise MessageKindError(
@@ -134,9 +146,10 @@ class MessageBus:
             for sub in t._subscriptions:
                 # the subscription's push, inlined because it runs per message
                 with sub._lock:
-                    if len(sub._queue) == sub.capacity:
+                    queue = sub._queue
+                    if len(queue) == sub.capacity:
                         sub.dropped += 1
-                    sub._queue.append(envelope)
+                    queue.append(envelope)
 
     def subscribe(self, topic: str, capacity: int = DEFAULT_CAPACITY) -> Subscription:
         """Attach a new bounded queue to `topic`; only future traffic is seen."""

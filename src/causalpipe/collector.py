@@ -29,7 +29,7 @@ _GRID_EPS = 1e-9
 Postprocessor = Callable[[list["RawSample"]], TimeSeriesBatch]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawSample:
     """One grid-aligned snapshot of both agents."""
 
@@ -123,14 +123,6 @@ class Collector:
         """State messages lost because a subscription was full between ticks."""
         return self._human_sub.dropped + self._robot_sub.dropped
 
-    def _refresh_held(self) -> None:
-        human = self._human_sub.drain()
-        if human:
-            self._held_human = human[-1].payload
-        robot = self._robot_sub.drain()
-        if robot:
-            self._held_robot = robot[-1].payload
-
     def tick(self, now: float) -> RawSample | None:
         """Advance the sampling clock; returns the sample taken, if any.
 
@@ -138,7 +130,14 @@ class Collector:
         message ever received on a required topic is skipped (the batch
         window extends); held state is reused for merely-quiet topics.
         """
-        self._refresh_held()
+        # Both queues are emptied on every tick, grid point due or not: read
+        # only at grid points, they would overflow in between and drop.
+        newest = self._human_sub.take_newest()
+        if newest is not None:
+            self._held_human = newest.payload
+        newest = self._robot_sub.take_newest()
+        if newest is not None:
+            self._held_robot = newest.payload
         if self._t0 is None:
             self._t0 = now
         t0, dt = self._t0, self.config.dt

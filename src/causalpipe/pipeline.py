@@ -21,7 +21,8 @@ A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
 file waited for the watcher. Landing times are taken on the simulation
 loop: after each collector tick, every file newly appended to
-`collector.files_written` is stamped with the current time. The manifest's
+`collector.files_written` is stamped with the current time. A CSV that an
+earlier run left in the pool is stamped with the run's start. The manifest's
 checksums are of the bytes each model file was written with, not read back
 from disk.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time as time_mod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,15 +119,22 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
 
     watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus, on_model=on_model)
 
+    stamped = 0  # collector.files_written[:stamped] are in `landed`
+
     def tick(now: float) -> None:
+        nonlocal stamped
         collector.tick(now)
-        new_files = collector.files_written[len(landed):]
-        for path in new_files:
-            landed[path.name] = time_mod.perf_counter()
-        if new_files or watcher.analysing:
+        written = collector.files_written
+        if len(written) > stamped or watcher.analysing:
+            for path in written[stamped:]:
+                landed[path.name] = time_mod.perf_counter()
+            stamped = len(written)
             watcher.step()
 
+    # a backlog an earlier run left in the pool has waited since this run began
+    backlog = [name for name in os.listdir(pool_dir) if name.endswith(".csv")]
     started = time_mod.perf_counter()
+    landed.update(dict.fromkeys(backlog, started))
     try:
         watcher.step()
         sim.publish_initial()

@@ -8,7 +8,7 @@ schema; the topic (and agent_id) tells them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 
 from .bus import MessageBus
@@ -36,7 +36,13 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+# The messages are built twice a simulation step each, so each writes its own
+# __init__: one isfinite test for all fields (the per-field error only when it
+# fails), then one assignment per field through the slot's own setter (about
+# half the cost of object.__setattr__), with no __post_init__ pass. Dataclass
+# still provides frozen assignment, eq, hash, repr and fields().
+
+@dataclass(frozen=True, slots=True, init=False)
 class Pose2D:
     """Planar pose; theta is normalized to (-pi, pi] on construction."""
 
@@ -44,26 +50,37 @@ class Pose2D:
     y: float
     theta: float
 
-    def __post_init__(self) -> None:
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.theta)):
-            _require_finite(x=self.x, y=self.y, theta=self.theta)
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+    def __init__(self, x: float, y: float, theta: float) -> None:
+        if not (isfinite(x) and isfinite(y) and isfinite(theta)):
+            _require_finite(x=x, y=y, theta=theta)
+        set_x, set_y, set_theta = _POSE_SLOTS
+        set_x(self, x)
+        set_y(self, y)
+        set_theta(self, normalize_angle(theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Velocity2D:
     vx: float
     vy: float
     omega: float
 
-    def __post_init__(self) -> None:
-        if not (isfinite(self.vx) and isfinite(self.vy) and isfinite(self.omega)):
-            _require_finite(vx=self.vx, vy=self.vy, omega=self.omega)
+    def __init__(self, vx: float, vy: float, omega: float) -> None:
+        if not (isfinite(vx) and isfinite(vy) and isfinite(omega)):
+            _require_finite(vx=vx, vy=vy, omega=omega)
+        set_vx, set_vy, set_omega = _VELOCITY_SLOTS
+        set_vx(self, vx)
+        set_vy(self, vy)
+        set_omega(self, omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AgentState:
-    """Timestamped pose, planar velocity and current goal of one agent."""
+    """Timestamped pose, planar velocity and current goal of one agent.
+
+    The goal is stored as a tuple of two floats; one that already is one is
+    kept as it is.
+    """
 
     agent_id: str
     stamp: float
@@ -72,17 +89,36 @@ class AgentState:
     goal: tuple[float, float]
     body_radius: float
 
-    def __post_init__(self) -> None:
-        goal = self.goal
-        if not (isfinite(self.stamp) and isfinite(goal[0]) and isfinite(goal[1])
-                and isfinite(self.body_radius)):
-            _require_finite(stamp=self.stamp, goal_x=goal[0], goal_y=goal[1],
-                            body_radius=self.body_radius)
-        if self.stamp < 0:
-            raise ValidationError(f"stamp must be >= 0, got {self.stamp}")
-        if self.body_radius <= 0:
-            raise ValidationError(f"body_radius must be > 0, got {self.body_radius}")
-        object.__setattr__(self, "goal", (float(goal[0]), float(goal[1])))
+    def __init__(self, agent_id: str, stamp: float, pose: Pose2D, velocity: Velocity2D,
+                 goal: tuple[float, float], body_radius: float) -> None:
+        if not (isfinite(stamp) and isfinite(goal[0]) and isfinite(goal[1])
+                and isfinite(body_radius)):
+            _require_finite(stamp=stamp, goal_x=goal[0], goal_y=goal[1],
+                            body_radius=body_radius)
+        if stamp < 0:
+            raise ValidationError(f"stamp must be >= 0, got {stamp}")
+        if body_radius <= 0:
+            raise ValidationError(f"body_radius must be > 0, got {body_radius}")
+        if not (type(goal) is tuple and len(goal) == 2
+                and type(goal[0]) is float and type(goal[1]) is float):
+            goal = (float(goal[0]), float(goal[1]))
+        set_id, set_stamp, set_pose, set_velocity, set_goal, set_radius = _STATE_SLOTS
+        set_id(self, agent_id)
+        set_stamp(self, stamp)
+        set_pose(self, pose)
+        set_velocity(self, velocity)
+        set_goal(self, goal)
+        set_radius(self, body_radius)
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The `__set__` of each field's slot, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_POSE_SLOTS = _slot_setters(Pose2D)
+_VELOCITY_SLOTS = _slot_setters(Velocity2D)
+_STATE_SLOTS = _slot_setters(AgentState)
 
 
 class StateMerger:
@@ -115,15 +151,9 @@ class StateMerger:
                 f"stamps must be strictly increasing on {self.topic!r}: "
                 f"{stamp} after {self._last_stamp}"
             )
-        state = AgentState(
-            agent_id=self.agent_id,
-            stamp=stamp,
-            pose=pose,
-            velocity=velocity,
-            goal=goal,
-            body_radius=self._body_radius,
-        )
+        # positional: keyword arguments cost more than a field's checks
+        state = AgentState(self.agent_id, stamp, pose, velocity, goal, self._body_radius)
         self._last_stamp = stamp
         if self._bus is not None:
-            self._bus.publish(self.topic, state, time=stamp)
+            self._bus.publish(self.topic, state, stamp)
         return state

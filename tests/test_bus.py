@@ -108,6 +108,21 @@ def test_drain_is_fifo_and_empties(bus):
     assert sub.drain() == []
 
 
+def test_take_newest_returns_the_last_envelope_and_empties(bus):
+    sub = bus.subscribe("/roscausal/robot", capacity=2)
+    assert sub.take_newest() is None
+    for k in range(5):
+        bus.publish("/roscausal/robot", RobotMsg(k), time=float(k))
+    newest = sub.take_newest()
+    assert (newest.payload.tag, newest.publish_time) == (4, 4.0)
+    assert len(sub) == 0 and sub.take_newest() is None
+    # the overflow was counted when it was published, not when it was read
+    assert sub.dropped == 3
+    bus.publish("/roscausal/robot", RobotMsg(5), time=5.0)
+    assert sub.take_newest().payload.tag == 5
+    assert sub.dropped == 3
+
+
 def test_drain_isolation_between_subscriptions(bus):
     s1 = bus.subscribe("/roscausal/robot")
     s2 = bus.subscribe("/roscausal/robot")

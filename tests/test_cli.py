@@ -430,9 +430,9 @@ def test_bench_discovery_overrides_become_one_params(tmp_path):
                                         kridge=KernelRegParams(permutations=60))
 
 
-def test_quiet_abort_leaves_backlog(tmp_path, monkeypatch):
-    # no analysis can end before the run stops its watcher: the stop finishes
-    # the one batch in analysis, and quiet-abort leaves the other two
+def hold_analysis_until_stop(monkeypatch):
+    """No analysis ends before the run stops its watcher: the stop finishes
+    the one batch in analysis, and quiet-abort leaves the others pending."""
     stopped = threading.Event()
     stop, analyse = PoolWatcher.stop, discovery.discover
 
@@ -447,6 +447,10 @@ def test_quiet_abort_leaves_backlog(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PoolWatcher, "stop", stopping)
     monkeypatch.setattr(discovery, "discover", blocked)
+
+
+def test_quiet_abort_leaves_backlog(tmp_path, monkeypatch):
+    hold_analysis_until_stop(monkeypatch)
     out = tmp_path / "out"
     rc = cli.main(fast_run_args(out, extra=["--duration", "72", "--quiet-abort"]))
     assert rc == 0
@@ -473,3 +477,24 @@ def test_a_run_after_a_quiet_abort_analyses_its_backlog_once(tmp_path, monkeypat
     assert sorted(int(row["batch_id"]) for row in rows) == [1, 2, 3, 4, 5]
     assert (manifest["models_published"], manifest["quarantined"]) == (5, 0)
     assert list((out / "pool").glob("*.csv")) == []
+
+
+def test_a_backlog_batch_has_waited_since_the_run_began(tmp_path, monkeypatch):
+    # a batch an earlier run left in the pool lands, for this run, when it
+    # starts: its discovery_seconds counts its wait behind the run's start
+    out = tmp_path / "out"
+    args = ["run", "--out", str(out), "--duration", "900", "--citest", "parcorr",
+            "--method", "pcmci", "--quiet"]
+    hold_analysis_until_stop(monkeypatch)
+    assert cli.main([*args, "--quiet-abort"]) == 0
+    backlog = sorted(p.name for p in (out / "pool").glob("*.csv"))
+    assert len(backlog) == 5
+    monkeypatch.undo()
+    assert cli.main([*args, "--seed", "7"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = {row["csv"]: row for row in manifest["batches"]}
+    assert len(rows) == manifest["models_published"] == 11
+    assert set(backlog) < set(rows)
+    # the backlog's stamps do not shift the stamping of this run's batches
+    for name, row in rows.items():
+        assert 0 < row["discovery_seconds"] <= manifest["wall_seconds"], name

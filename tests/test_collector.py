@@ -1,7 +1,15 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from causalpipe.bus import MessageBus
+from causalpipe.config import default_config
+from causalpipe.pipeline import run_pipeline
+from causalpipe.postprocess import resolve_postprocessor
+from causalpipe.sim import SIM_DT, Simulator
 from causalpipe.collector import (Collector, CollectorConfig, RawSample,
                                   batch_filename, finalize_batch)
 from causalpipe.postprocess import identity_batch, postprocess_batch
@@ -199,3 +207,79 @@ def test_collector_config_validation(tmp_path):
         CollectorConfig(dt=0.0)
     with pytest.raises(ValueError):
         CollectorConfig(dt=1.0, batch_seconds=1.5)
+
+
+def simulate(config, steps, seed, tick_every=1, capacity=64):
+    """The pipeline's simulate-and-collect loop without the watcher; yields
+    each step's world state and the sample its tick took, if it ticked."""
+    bus = MessageBus()
+    bus.create_topic(ROBOT_TOPIC, AgentState)
+    bus.create_topic(HUMAN_TOPIC, AgentState)
+    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=seed, bus=bus)
+    collector = Collector(bus, config.collector,
+                          resolve_postprocessor(config.collector.postprocessor, config.risk),
+                          subscription_capacity=capacity)
+    sim.publish_initial()
+    yield collector, sim.world, collector.tick(0.0)
+    for k in range(1, steps + 1):
+        world = sim.step(SIM_DT)
+        yield collector, world, collector.tick(k * SIM_DT) if k % tick_every == 0 else None
+
+
+def test_generator_bytes_are_pinned(tmp_path):
+    """The CSV batch the default scenario writes at seed 42 over 150 s.
+
+    A faster message, bus or collector must write the same bytes. The digest
+    holds for the libm and numpy of the platform it was recorded on (x86_64
+    Linux, glibc, numpy 2.4); another platform may differ in the last digits.
+    """
+    config = default_config(tmp_path, seed=42)
+    for collector, _, _ in simulate(config, round(150.0 / SIM_DT), seed=42):
+        pass
+    assert (collector.samples_taken, collector.dropped) == (501, 0)
+    [path] = collector.files_written
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "656f4d17c2fba35904e70b5523c6178819c3f7a721f895e65c8f4e0636ff67e3")
+
+
+def test_a_coarse_grid_samples_the_newest_message(tmp_path):
+    # 100 steps between grid points: the collector must still empty both
+    # 64-deep queues on every tick, or they overflow and count drops
+    config = default_config(tmp_path, seed=3)
+    config.collector = dataclasses.replace(config.collector, dt=5.0, batch_seconds=600.0)
+    taken = 0
+    for collector, world, sample in simulate(config, round(1200.0 / SIM_DT), seed=3):
+        if sample is not None:
+            assert (sample.human, sample.robot) == (world.human, world.robot)
+            assert sample.human.stamp == pytest.approx(sample.t)
+            taken += 1
+    assert taken == collector.samples_taken == 241
+    assert collector.dropped == 0
+    assert len(collector.files_written) == 2
+
+
+def test_a_coarse_grid_run_drops_no_state_message(tmp_path):
+    config = default_config(tmp_path / "out", seed=3)
+    config.duration = 1200.0
+    config.collector = dataclasses.replace(config.collector, dt=5.0, batch_seconds=600.0)
+    config.discovery = dataclasses.replace(config.discovery, ci_test="parcorr",
+                                           method="pcmci")
+    result = run_pipeline(config)
+    manifest = json.loads(result.manifest_path.read_text(encoding="utf-8"))
+    assert manifest["bus_dropped"] == 0
+    assert (manifest["samples_taken"], manifest["models_published"]) == (241, 2)
+
+
+def test_sparse_ticks_count_each_overflowing_message(tmp_path):
+    # seven steps between ticks into 4-deep queues: three of each topic's
+    # seven messages are dropped per interval, and the tick reads the newest
+    config = default_config(tmp_path, seed=5)
+    config.collector = dataclasses.replace(config.collector, batch_seconds=30.0)
+    ticks = 0
+    for collector, world, sample in simulate(config, 7 * 300, seed=5, tick_every=7,
+                                             capacity=4):
+        if sample is not None:
+            assert (sample.human, sample.robot) == (world.human, world.robot)
+            ticks += 1
+    assert ticks == 1 + 300  # t = 0 and after each interval
+    assert collector.dropped == 2 * 3 * 300

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -137,3 +140,110 @@ def test_nonfinite_field_is_named(message, field, bad):
         fields[field] = bad
     with pytest.raises(ValidationError, match=rf"^{field} must be finite, got {bad!r}$"):
         message(**fields)
+
+
+# --- the message contract: frozen dataclasses with unchanged eq, hash, repr --
+
+POSE = Pose2D(1.0, 2.0, 0.5)
+VELOCITY = Velocity2D(0.1, -0.2, 0.3)
+STATE = AgentState("human", 1.5, POSE, VELOCITY, (3.0, 4.0), 0.3)
+STATE_REPR = ("AgentState(agent_id='human', stamp=1.5, pose=Pose2D(x=1.0, y=2.0, theta=0.5), "
+              "velocity=Velocity2D(vx=0.1, vy=-0.2, omega=0.3), goal=(3.0, 4.0), "
+              "body_radius=0.3)")
+
+
+@pytest.mark.parametrize("message", [POSE, VELOCITY, STATE], ids=lambda m: type(m).__name__)
+def test_message_fields_are_frozen(message):
+    for f in dataclasses.fields(message):
+        value = getattr(message, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(message, f.name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(message, f.name)
+        assert getattr(message, f.name) is value
+    # no attribute outside the declared fields either (CPython 3.11 raises
+    # TypeError here for a frozen dataclass with slots)
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        message.extra = 1
+
+
+def test_message_fields_in_declaration_order():
+    def declared(cls):
+        return [(f.name, f.type) for f in dataclasses.fields(cls)]
+
+    assert declared(Pose2D) == [("x", "float"), ("y", "float"), ("theta", "float")]
+    assert declared(Velocity2D) == [("vx", "float"), ("vy", "float"), ("omega", "float")]
+    assert declared(AgentState) == [
+        ("agent_id", "str"), ("stamp", "float"), ("pose", "Pose2D"),
+        ("velocity", "Velocity2D"), ("goal", "tuple[float, float]"), ("body_radius", "float")]
+
+
+def test_message_repr_eq_and_hash():
+    assert repr(POSE) == "Pose2D(x=1.0, y=2.0, theta=0.5)"
+    assert repr(VELOCITY) == "Velocity2D(vx=0.1, vy=-0.2, omega=0.3)"
+    assert repr(STATE) == STATE_REPR
+    # fields are stored as given, apart from theta and the goal
+    assert repr(Pose2D(1, 2, 0)) == "Pose2D(x=1, y=2, theta=0.0)"
+    assert hash(POSE) == hash((1.0, 2.0, 0.5))
+    assert hash(VELOCITY) == hash((0.1, -0.2, 0.3))
+    assert hash(STATE) == hash(("human", 1.5, POSE, VELOCITY, (3.0, 4.0), 0.3))
+    twin = AgentState(agent_id="human", stamp=1.5, pose=Pose2D(1.0, 2.0, 0.5),
+                      velocity=Velocity2D(0.1, -0.2, 0.3), goal=[3, 4], body_radius=0.3)
+    assert twin == STATE and hash(twin) == hash(STATE)
+    assert Pose2D(1.0, 2.0, 0.5 + 2 * math.pi) == POSE  # theta normalized first
+    assert STATE != AgentState("robot", 1.5, POSE, VELOCITY, (3.0, 4.0), 0.3)
+    assert POSE != (1.0, 2.0, 0.5)  # a message equals only its own kind
+    assert len({POSE, Pose2D(1.0, 2.0, 0.5), VELOCITY}) == 2
+
+
+def test_messages_survive_pickling_and_replace():
+    for message in (POSE, VELOCITY, STATE):
+        assert pickle.loads(pickle.dumps(message)) == message
+    moved = dataclasses.replace(STATE, stamp=2.0)
+    assert (moved.stamp, moved.pose, moved.goal) == (2.0, POSE, (3.0, 4.0))
+    with pytest.raises(ValidationError, match=r"^stamp must be >= 0, got -1.0$"):
+        dataclasses.replace(STATE, stamp=-1.0)
+
+
+@pytest.mark.parametrize("goal", [(3, 4), [3.0, 4.0], (3.0, 4.0, 9.0),
+                                  np.array([3.0, 4.0]), (np.float64(3.0), 4.0)],
+                         ids=["ints", "list", "triple", "array", "numpy-scalar"])
+def test_goal_becomes_a_tuple_of_two_floats(goal):
+    state = AgentState("human", 0.0, POSE, VELOCITY, goal, 0.3)
+    assert state.goal == (3.0, 4.0)
+    assert type(state.goal) is tuple
+    assert [type(c) for c in state.goal] == [float, float]
+
+
+def test_goal_of_two_floats_is_kept():
+    goal = (3.0, 4.0)
+    assert AgentState("human", 0.0, POSE, VELOCITY, goal, 0.3).goal is goal
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AgentState("human", -0.5, POSE, VELOCITY, (0, 0), 0.3),
+     "stamp must be >= 0, got -0.5"),
+    (lambda: AgentState("human", 0.0, POSE, VELOCITY, (0, 0), 0.0),
+     "body_radius must be > 0, got 0.0"),
+    (lambda: AgentState("human", 0.0, POSE, VELOCITY, (0, 0), -2),
+     "body_radius must be > 0, got -2"),
+    # the finiteness check runs before the range checks
+    (lambda: AgentState("human", -0.5, POSE, VELOCITY, (0, math.nan), 0.0),
+     "goal_y must be finite, got nan"),
+    (lambda: Pose2D(0.0, -math.inf, math.nan), "y must be finite, got -inf"),
+    (lambda: Velocity2D(math.inf, math.nan, 0.0), "vx must be finite, got inf"),
+], ids=["stamp", "radius-zero", "radius-negative", "finite-first", "pose-first",
+        "velocity-first"])
+def test_validation_error_texts(build, message):
+    with pytest.raises(ValidationError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_merger_stamp_error_text():
+    merger = StateMerger.for_human()
+    merger.merge(POSE, VELOCITY, (1.0, 1.0), stamp=1.5)
+    with pytest.raises(ValidationError) as raised:
+        merger.merge(POSE, VELOCITY, (1.0, 1.0), stamp=1.25)
+    assert str(raised.value) == ("stamps must be strictly increasing on "
+                                 "'/roscausal/human': 1.25 after 1.5")
