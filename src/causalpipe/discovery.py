@@ -19,11 +19,13 @@ tests through one CIContext. The phase fixes the target rows (from tau_max
 for PC1, from 2 * tau_max for MCI, which also shifts the source's parents),
 so the context checks the batch length once, serves each lagged column as a
 view of the batch, and derives each test's seed from the batch id, the phase
-and the test's name. With kridge_dcor it also holds the phase's
-stats.KernelRidgeCache, keyed by row window and lagged variables, so a kernel
-or a kernel-ridge fit needed by several tests is computed once. The phases'
-windows differ, so they could share no cache entry; each context is let go
-when its phase ends, so PC1's kernels are freed before MCI builds its own.
+and the test's name. It also holds the phase's stats.ResidualCache, which
+either CI test uses, keyed by lagged variable: each column is validated once
+(a contiguous copy, checked finite, with its standard deviation), and a
+design (an RBF kernel, or parcorr's [1, Z] matrix) or a residual needed by
+several tests is computed once. The phases' windows differ, so they could
+share no cache entry; each context is let go when its phase ends, so PC1's
+entries are freed before MCI computes its own.
 
 The tests of one batch that do not depend on each other run concurrently on
 one module-level thread pool, created on first use with one worker per CPU
@@ -64,7 +66,7 @@ import numpy as np
 from .bus import MessageBus
 from .collector import batch_id_for
 from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
-                    KernelRidgeCache, TEParams, kridge_dcor_test, parcorr_test,
+                    ResidualCache, TEParams, kridge_dcor_test, parcorr_test,
                     student_t_cdf, te_significance)
 from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
@@ -273,7 +275,7 @@ class CIContext:
         self.phase = phase
         self.batch_id = batch_id
         self.allowed_pairs = allowed_pairs
-        self.cache = KernelRidgeCache(params.kridge)
+        self.cache = ResidualCache(params.kridge)
 
     def allows(self, i: int, j: int) -> bool:
         """Whether source i may be tested against target j."""
@@ -289,14 +291,15 @@ class CIContext:
         """The configured CI test of x and y given conds; a test that raises
         counts as independent. `seed_parts` name the test within its phase."""
         Z = [self.column(c) for c in conds]
+        # a lagged variable fixes its column within the phase
+        keys = (x, y, tuple(conds))
         try:
             if self.params.ci_test == "parcorr":
-                return parcorr_test(self.column(x), self.column(y), Z)
+                return parcorr_test(self.column(x), self.column(y), Z,
+                                    cache=self.cache, keys=keys)
             seed = _derived_seed(self.params.seed, self.batch_id, self.phase, *seed_parts)
-            w = self.window_start
             return kridge_dcor_test(self.column(x), self.column(y), Z, self.params.kridge,
-                                    seed=seed, cache=self.cache,
-                                    keys=((w, x), (w, y), (w, tuple(conds))))
+                                    seed=seed, cache=self.cache, keys=keys)
         except Exception:
             log.exception("CI test failed; treating as independent")
             return INDEPENDENT
@@ -425,7 +428,7 @@ def pcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     allowed_pairs = None if te_filter is None else set(te_filter["kept"])
     # Each phase gets its own context: the two phases use different row
     # windows, so their caches could share no entry. Each context is built in
-    # the call that uses it, so PC1's kernels are freed before MCI starts.
+    # the call that uses it, so PC1's entries are freed before MCI starts.
     parents = _select_parents(CIContext(batch, params, "pc1", batch_id, allowed_pairs))
     val, pval = mci_tests(CIContext(batch, params, "mci", batch_id, allowed_pairs), parents)
     return _assemble_model(batch, params, val, pval, batch_id, te_filter)

@@ -38,17 +38,20 @@ significance thresholds.
 
 Every call here is pure given (inputs, seed): no test reads or writes state
 shared with another. The one exception is scoped to a batch: discovery.py
-gives the CI tests of one phase of one batch a KernelRidgeCache, which builds
-the RBF kernel of each conditioning set once and solves each series once per
-conditioning set. A cached residual is the one a fresh call returns, bit for
-bit, so sharing it changes no result, and the cache goes with the batch.
-discovery.py relies on this to run independent tests concurrently on a thread
-pool. Threads overlap only where numpy releases the interpreter lock
-(argsorts, gathers, cumulative sums, ufunc loops over large arrays, and the
-kernel-ridge solve, which gets a column right-hand side because the 1-D form
-holds the lock), which is why work is done in few large array operations
-rather than many small ones: te_significance scores all its surrogate shifts
-at once.
+gives the CI tests of one phase of one batch a ResidualCache, which serves
+both tests. It validates each series once (a contiguous copy, checked finite,
+with its standard deviation), builds one design per conditioning set (the
+RBF kernel for kridge_dcor_test, the [1, Z] least-squares matrix for
+parcorr_test), and fits each series once per conditioning set. A test called
+without a cache makes a private one, so there is one code path, and a cached
+residual is the one a fresh call returns, bit for bit: sharing it changes no
+result, and the cache goes with the batch. discovery.py relies on this to run
+independent tests concurrently on a thread pool. Threads overlap only where
+numpy releases the interpreter lock (argsorts, gathers, cumulative sums,
+ufunc loops over large arrays, and the kernel-ridge solve, which gets a
+column right-hand side because the 1-D form holds the lock), which is why
+work is done in few large array operations rather than many small ones:
+te_significance scores all its surrogate shifts at once.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +125,7 @@ class TEParams:
 
 def _as_series(x, name: str = "series") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -147,23 +149,36 @@ def pearson(x, y) -> float:
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
     if denom <= 0.0:
         return 0.0
-    return float(np.clip((xc @ yc) / denom, -1.0, 1.0))
+    # clipped as np.clip would, without its dispatch on a scalar
+    return min(max(float((xc @ yc) / denom), -1.0), 1.0)
 
 
-def residualize_linear(target, Z) -> np.ndarray:
+def linear_design(Z) -> np.ndarray | None:
+    """The least-squares design [1, Z]: an intercept column, then the columns
+    of Z; None when Z is empty."""
+    Zm = _column_matrix(Z)
+    if Zm.size == 0:
+        return None
+    return np.column_stack([np.ones(len(Zm)), Zm])
+
+
+def residualize_linear(target, Z, design: np.ndarray | None = None) -> np.ndarray:
     """Residuals of a least-squares fit of target on Z plus an intercept.
 
     Rank-deficient Z is tolerated (lstsq minimum-norm solution; logged).
+    `design` is linear_design(Z), when the caller already has it.
     """
     y = _as_series(target, "target")
-    Zm = _column_matrix(Z)
+    if design is None:
+        design = linear_design(Z)
     n = len(y)
-    k = Zm.shape[1] if Zm.size else 0
+    k = 0 if design is None else design.shape[1] - 1
     if k >= n - 2:
         raise ValueError(f"need |Z| < n - 2, got |Z|={k}, n={n}")
     if k == 0:
         return y - y.mean()
-    design = np.column_stack([np.ones(n), Zm])
+    if design.shape[0] != n:
+        raise ValueError("target and conditioning series lengths differ")
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         log.debug("rank-deficient conditioning set (rank %d < %d); proceeding",
@@ -190,7 +205,8 @@ def student_t_cdf():
     return stdtr
 
 
-def parcorr_test(x, y, Z=()) -> CITestResult:
+def parcorr_test(x, y, Z=(), cache: ResidualCache | None = None,
+                 keys: tuple | None = None) -> CITestResult:
     """Linear partial-correlation CI test with a two-sided Student-t p-value.
 
     The p-value is floored at the smallest positive float, also for |r| = 1,
@@ -198,20 +214,28 @@ def parcorr_test(x, y, Z=()) -> CITestResult:
     When Z determines x or y (its residual variance collapses to round-off),
     the dependence is undetermined and the test reports p = 1, independent:
     correlating round-off would report a spurious link.
+
+    With a `cache`, `keys` = (x key, y key, Z key) name the series within its
+    phase (the Z key is the tuple of its columns' keys), and the validated
+    series, Z's design and the residuals are shared with the other tests that
+    use the cache; without one, the test makes a private cache.
     """
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    Z = tuple(Z)
+    if cache is None:
+        cache, keys = ResidualCache(), _private_keys(len(Z))
+    x_key, y_key, Z_key = keys
+    x, sx = cache.series(x_key, x, "x")
+    y, sy = cache.series(y_key, y, "y")
     if len(x) != len(y):
         raise ValueError("x and y must have equal lengths")
     n = len(x)
-    sx, sy = x.std(), y.std()
     if sx == 0.0 or sy == 0.0:
         return INDEPENDENT
-    dof = n - len(tuple(Z)) - 2
+    dof = n - len(Z) - 2
     if dof < 1:
         return INDEPENDENT
-    rx = residualize_linear(x, Z)
-    ry = residualize_linear(y, Z)
+    rx = cache.residuals(x_key, x, Z_key, Z, linear=True)
+    ry = cache.residuals(y_key, y, Z_key, Z, linear=True)
     # Residuals of a fit with an intercept have mean 0: r @ r / n is their variance.
     if rx @ rx <= _COLLAPSED * n * sx * sx or ry @ ry <= _COLLAPSED * n * sy * sy:
         return INDEPENDENT
@@ -297,55 +321,130 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
     return (ys - fitted) * y_sd
 
 
-class KernelRidgeCache:
-    """Kernel-ridge work shared by CI tests on the same batch (discovery
-    makes one for each phase of a batch).
+# What a ResidualCache table holds for a key no one has asked for yet.
+_MISSING = object()
+
+
+class _Pending:
+    """A cache entry being computed: its owner holds `done` until the value is
+    in the table, or until it has set `error` and removed the entry."""
+
+    __slots__ = ("done", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error: BaseException | None = None
+
+
+def _private_keys(k: int) -> tuple:
+    """Keys for a test's own cache: x, y, and Z's k columns by position."""
+    return "x", "y", tuple(range(k))
+
+
+class ResidualCache:
+    """The CI-test work shared by the tests of one phase of one batch, for
+    either test (discovery makes one for each phase; a test called without
+    one makes its own).
 
     The caller names each series by a key that fixes its values within the
-    batch (discovery uses the row window and the lagged variables). The RBF
-    kernel is built once per conditioning key and each target is solved once
-    per conditioning key; both come from rbf_kernel and
-    kernel_ridge_residuals, so a cached residual is the one a fresh call
-    gives. Residuals are handed out read-only. Each entry is computed exactly
-    once: the first thread to ask computes it, and threads asking for the
-    same key meanwhile wait for its result. The lock guards only the tables,
-    so solves for different keys run concurrently. A failed computation is
-    raised to its waiters and not kept, so a later request tries again.
-    Create one per batch and let it go with the batch.
+    phase (discovery uses the lagged variable), and a conditioning set by the
+    tuple of its columns' keys. The cache holds:
+      * each series, validated once as _as_series gives it (a contiguous
+        copy of a strided view), with its standard deviation;
+      * one design per conditioning key: rbf_kernel(Z) for kridge_dcor_test,
+        linear_design(Z) for parcorr_test;
+      * each residual, once per (series key, conditioning key), from
+        kernel_ridge_residuals or residualize_linear given that design.
+    Each comes from the function a fresh call uses, on the same arrays, so a
+    cached value is the one a fresh call gives, bit for bit. Residuals are
+    handed out read-only.
+
+    Each entry is computed exactly once: the first thread to ask computes it,
+    and threads asking for the same key meanwhile wait for its result. A
+    finished entry costs one dict lookup and no lock; the lock guards only
+    the hand-over of a pending one, so work for different keys runs
+    concurrently. A failed computation is raised to its waiters and not kept,
+    so a later request tries again. Create one per phase and let it go with
+    the phase.
     """
 
-    def __init__(self, params: KernelRegParams):
+    def __init__(self, params: KernelRegParams = KernelRegParams()):
         self.params = params
         self._lock = threading.Lock()
-        self._kernels: dict = {}
-        self._residuals: dict = {}
+        self._entries: dict = {}
 
-    def _once(self, table: dict, key, compute):
+    def _once(self, key, compute):
+        entry = self._entries.get(key, _MISSING)
+        if entry is _MISSING or type(entry) is _Pending:
+            return self._compute_once(key, compute)
+        return entry
+
+    def _compute_once(self, key, compute):
         with self._lock:
-            future = table.get(key)
-            owner = future is None
+            entry = self._entries.get(key, _MISSING)
+            owner = entry is _MISSING
             if owner:
-                future = table[key] = Future()
+                entry = self._entries[key] = _Pending()
+        if type(entry) is not _Pending:  # finished meanwhile
+            return entry
         if not owner:
-            return future.result()
+            with entry.done:  # released once the owner is done
+                pass
+            if entry.error is not None:
+                raise entry.error
+            return self._entries[key]
         try:
             value = compute()
         except BaseException as exc:
+            entry.error = exc
             with self._lock:
-                del table[key]
-            future.set_exception(exc)
+                del self._entries[key]
+            entry.done.release()
             raise
-        future.set_result(value)
+        with self._lock:
+            self._entries[key] = value
+        entry.done.release()
         return value
 
-    def residuals(self, target_key, target, Z_key, Z) -> np.ndarray:
-        def solve() -> np.ndarray:
-            kernel = self._once(self._kernels, Z_key, lambda: rbf_kernel(Z))
-            r = kernel_ridge_residuals(target, Z, self.params, kernel=kernel)
+    def series(self, key, values, name: str = "series") -> tuple[np.ndarray, float]:
+        """The series `values` as _as_series gives them, and their std."""
+        def validate() -> tuple[np.ndarray, float]:
+            arr = _as_series(values, name)
+            return arr, arr.std()
+
+        return self._once(("series", key), validate)
+
+    def _columns(self, Z_key: tuple, Z) -> list[np.ndarray]:
+        if len(Z_key) != len(Z):
+            raise ValueError(f"need one key per conditioning series, got {len(Z_key)} "
+                             f"for {len(Z)}")
+        return [self.series(k, z, "conditioning series")[0] for k, z in zip(Z_key, Z)]
+
+    def residuals(self, target_key, target, Z_key: tuple, Z,
+                  linear: bool = False) -> np.ndarray:
+        """The residuals of `target` given Z: the least-squares fit of
+        residualize_linear when `linear`, else the kernel-ridge fit of
+        kernel_ridge_residuals with the cache's params."""
+        def linear_fit() -> np.ndarray:
+            design = None  # an empty Z has none: the residual is the centred target
+            if Z:
+                design = self._once(("linear design", Z_key),
+                                    lambda: linear_design(self._columns(Z_key, Z)))
+            return residualize_linear(target, Z, design=design)
+
+        def kernel_fit() -> np.ndarray:
+            columns = self._columns(Z_key, Z)
+            kernel = self._once(("rbf kernel", Z_key), lambda: rbf_kernel(columns))
+            return kernel_ridge_residuals(target, columns, self.params, kernel=kernel)
+
+        def fit() -> np.ndarray:
+            r = linear_fit() if linear else kernel_fit()
             r.flags.writeable = False
             return r
 
-        return self._once(self._residuals, (target_key, Z_key), solve)
+        kind = "linear fit" if linear else "kernel ridge fit"
+        return self._once((kind, target_key, Z_key), fit)
 
 
 def _centered_distance_matrix(x: np.ndarray) -> np.ndarray:
@@ -565,26 +664,28 @@ def dcor_perm_test(x, y, params: KernelRegParams = KernelRegParams(), seed: int 
 
 
 def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
-                     seed: int = 0, cache: KernelRidgeCache | None = None,
+                     seed: int = 0, cache: ResidualCache | None = None,
                      keys: tuple | None = None) -> CITestResult:
     """Nonlinear CI test: kernel-ridge residuals + distance correlation.
 
     With Z empty this reduces to the permutation dcor test on centered series.
     With a `cache` (built with the same params), `keys` = (x key, y key, Z key)
-    name the series within its batch, and the residuals are shared with the
-    other tests that use the cache; without one, x and y still share Z's kernel.
+    name the series within its phase (the Z key is the tuple of its columns'
+    keys), and the validated series, Z's kernel and the residuals are shared
+    with the other tests that use the cache; without one, the test makes a
+    private cache, so x and y still share Z's kernel.
     """
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    Z = tuple(Z)
+    if cache is None:
+        cache, keys = ResidualCache(params), _private_keys(len(Z))
+    x_key, y_key, Z_key = keys
+    x, sx = cache.series(x_key, x, "x")
+    y, sy = cache.series(y_key, y, "y")
     if len(x) != len(y):
         raise ValueError("x and y must have equal lengths")
-    if x.std() == 0.0 or y.std() == 0.0:
+    if sx == 0.0 or sy == 0.0:
         return INDEPENDENT
-    Z = tuple(Z)
     if Z:
-        if cache is None:
-            cache, keys = KernelRidgeCache(params), ("x", "y", "Z")
-        x_key, y_key, Z_key = keys
         rx = cache.residuals(x_key, x, Z_key, Z)
         ry = cache.residuals(y_key, y, Z_key, Z)
     else:

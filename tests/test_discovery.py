@@ -262,12 +262,12 @@ def test_pcmci_failed_ci_test_is_logged_and_link_absent(monkeypatch, caplog):
     original = discovery.parcorr_test
     raised = []
 
-    def failing(x, y, Z=()):
+    def failing(x, y, Z=(), **kwargs):
         # the MCI test of X0 at lag 1 against X1 (window starts at row 2)
         if not raised and np.array_equal(x, X[1:-1, 0]) and np.array_equal(y, X[2:, 1]):
             raised.append(True)
             raise FloatingPointError("injected")
-        return original(x, y, Z)
+        return original(x, y, Z, **kwargs)
 
     monkeypatch.setattr(discovery, "parcorr_test", failing)
     with caplog.at_level(logging.ERROR, logger="causalpipe.discovery"):
@@ -398,30 +398,95 @@ def test_each_kernel_is_built_once_per_batch(monkeypatch):
     monkeypatch.setattr(stats, "rbf_kernel", lambda Z: builds.append(1) or build(Z))
     monkeypatch.setattr(stats, "kernel_ridge_residuals",
                         lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
-    lookup = stats.KernelRidgeCache.residuals
+    lookup = stats.ResidualCache.residuals
 
-    def recording(cache, target_key, target, Z_key, Z):
+    def recording(cache, target_key, target, Z_key, Z, **kwargs):
         requests.append((target_key, Z_key))
-        return lookup(cache, target_key, target, Z_key, Z)
+        return lookup(cache, target_key, target, Z_key, Z, **kwargs)
 
-    monkeypatch.setattr(stats.KernelRidgeCache, "residuals", recording)
+    monkeypatch.setattr(stats.ResidualCache, "residuals", recording)
     # on the shared pool: workers asking for one entry at once wait for one build
     discover(kridge_batch(4), KRIDGE_FAST, batch_id="count")
-    # Z keys are (row window, ordered conditioning variables)
+    # Z keys are the ordered conditioning variables
     assert len(builds) == len({Z_key for _, Z_key in requests})
     assert len(solves) == len(set(requests))
     assert len(builds) < len(solves) < len(requests)  # both are reused on this batch
 
 
+def degenerate_batch():
+    """500 rows: X1 driven by X0, a constant X2, and X3 = 2 X0 + 1, collinear
+    with X0, so conditioning on X0 collapses X3's residual."""
+    batch, _ = scm_batch([Edge(0, 1, 1, 0.8), Edge(0, 0, 1, 0.5)], n_vars=2, seed=6)
+    _, X = batch.analysis_view()
+    return batch_from(np.column_stack([X, np.full(len(X), 3.0), 2.0 * X[:, 0] + 1.0]))
+
+
+def recorded_parcorr_calls(monkeypatch) -> list:
+    """Record (x, y, Z, result) for every discovery.parcorr_test call."""
+    calls = []
+    original = discovery.parcorr_test
+
+    def recording(x, y, Z=(), **kwargs):
+        result = original(x, y, Z, **kwargs)
+        calls.append((np.array(x), np.array(y), [np.array(z) for z in Z], result))
+        return result
+
+    monkeypatch.setattr(discovery, "parcorr_test", recording)
+    return calls
+
+
+def bits(result) -> tuple[str, str]:
+    return result.statistic.hex(), result.p_value.hex()
+
+
+def test_cached_parcorr_equals_fresh_calls_bit_for_bit(tmp_path, monkeypatch):
+    calls = recorded_parcorr_calls(monkeypatch)
+    cfg = default_config(tmp_path, seed=1)
+    cfg.duration = 3 * cfg.collector.batch_seconds
+    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test="parcorr", method="pcmci")
+    assert len(run_pipeline(cfg).models) == 3
+    pcmci(degenerate_batch(), PARCORR, batch_id="degenerate")
+    assert len(calls) > 100
+    for x, y, Z, result in calls:
+        assert bits(result) == bits(stats.parcorr_test(x, y, Z))
+    # the degenerate batch reaches the constant, collapsed and dependent cases
+    outcomes = {result == stats.INDEPENDENT for *_, result in calls}
+    assert outcomes == {True, False}
+
+
+def test_each_parcorr_design_and_fit_is_computed_once_per_phase(monkeypatch):
+    designs, fits, requests = [], [], []
+    build, fit = stats.linear_design, np.linalg.lstsq
+    monkeypatch.setattr(stats, "linear_design",
+                        lambda Z: designs.append(len(Z)) or build(Z))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: fits.append(1) or fit(*args, **kwargs))
+    lookup = stats.ResidualCache.residuals
+
+    def recording(cache, target_key, target, Z_key, Z, **kwargs):
+        requests.append((cache, target_key, Z_key))
+        return lookup(cache, target_key, target, Z_key, Z, **kwargs)
+
+    monkeypatch.setattr(stats.ResidualCache, "residuals", recording)
+    discover(degenerate_batch(), PARCORR, batch_id="count")
+    assert len({cache for cache, _, _ in requests}) == 2  # one cache a phase
+    # an empty Z has no design and needs no least-squares fit
+    conditioned = [r for r in requests if r[2]]
+    built = [k for k in designs if k]
+    assert len(built) == len({(cache, Z_key) for cache, _, Z_key in conditioned})
+    assert len(fits) == len(set(conditioned))
+    assert len(built) < len(fits) < len(conditioned)  # both are reused
+
+
 def test_discover_leaves_no_per_batch_state(monkeypatch):
     caches = []
-    init = stats.KernelRidgeCache.__init__
+    init = stats.ResidualCache.__init__
 
-    def tracked(cache, params):
-        init(cache, params)
+    def tracked(cache, *args, **kwargs):
+        init(cache, *args, **kwargs)
         caches.append(weakref.ref(cache))
 
-    monkeypatch.setattr(stats.KernelRidgeCache, "__init__", tracked)
+    monkeypatch.setattr(stats.ResidualCache, "__init__", tracked)
     live_at_mci = []
     mci = discovery.mci_tests
 
@@ -430,21 +495,25 @@ def test_discover_leaves_no_per_batch_state(monkeypatch):
         live_at_mci.append([k for k, ref in enumerate(caches) if ref() is not None])
         return mci(*args, **kwargs)
 
-    batch = kridge_batch(4)
-    discover(batch, KRIDGE_FAST, batch_id="warm")  # the shared pool exists from here on
-    monkeypatch.setattr(discovery, "mci_tests", entering_mci)
-    caches.clear()
-    modules = {module: dict(vars(module)) for module in (stats, discovery)}
-    discover(batch, KRIDGE_FAST, batch_id="state")
-    gc.collect()
-    assert caches and all(ref() is None for ref in caches)
-    # one cache a phase, and PC1's is gone by the time MCI starts
-    assert len(caches) == 2
-    assert live_at_mci == [[1]]
-    for module, before in modules.items():
-        after = vars(module)
-        assert after.keys() == before.keys()
-        assert all(after[name] is value for name, value in before.items()), module.__name__
+    # the shipped kridge_dcor path on the shared pool, and parcorr inline
+    for params, batch in ((KRIDGE_FAST, kridge_batch(4)),
+                          (PARCORR, scm_batch([Edge(0, 1, 1, 0.8)], n_vars=3, seed=4)[0])):
+        discover(batch, params, batch_id="warm")  # the shared pool exists from here on
+        monkeypatch.setattr(discovery, "mci_tests", entering_mci)
+        caches.clear()
+        live_at_mci.clear()
+        modules = {module: dict(vars(module)) for module in (stats, discovery)}
+        discover(batch, params, batch_id="state")
+        gc.collect()
+        assert caches and all(ref() is None for ref in caches)
+        # one cache a phase, and PC1's is gone by the time MCI starts
+        assert len(caches) == 2
+        assert live_at_mci == [[1]]
+        for module, before in modules.items():
+            after = vars(module)
+            assert after.keys() == before.keys()
+            assert all(after[name] is value for name, value in before.items()), module.__name__
+        monkeypatch.setattr(discovery, "mci_tests", mci)
 
 
 def test_batches_analysed_concurrently_give_their_sequential_models():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from causalpipe import stats
-from causalpipe.stats import (CITestResult, KernelRegParams, KernelRidgeCache, TEParams,
+from causalpipe.stats import (CITestResult, KernelRegParams, ResidualCache, TEParams,
                               _permutation_rows, _sorted_abs_cross_sums, dcor_perm_test,
                               distance_correlation, kernel_ridge_residuals,
                               kridge_dcor_test, parcorr_test, pearson,
@@ -272,6 +272,48 @@ def test_parcorr_constant_series_guarded():
     assert result.p_value == 1.0
 
 
+def test_parcorr_conditions_on_a_one_shot_iterator():
+    # z drives x and y: given z they are independent, and a generator of
+    # z's columns must condition as the tuple does, not be used up first
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=300)
+    x = z + 0.1 * rng.normal(size=300)
+    y = z + 0.1 * rng.normal(size=300)
+    given_tuple = parcorr_test(x, y, (z,))
+    given_generator = parcorr_test(x, y, (c for c in [z]))
+    assert given_tuple.p_value > 0.05
+    assert (given_generator.statistic.hex(), given_generator.p_value.hex()) == \
+        (given_tuple.statistic.hex(), given_tuple.p_value.hex())
+
+
+def test_cached_linear_residual_equals_a_fresh_fit_and_is_read_only():
+    rng = np.random.default_rng(22)
+    z1, z2 = rng.normal(size=(2, 200))
+    target = 0.5 * z1 - z2 + rng.normal(size=200)
+    x = z2 + rng.normal(size=200)
+    cache = ResidualCache()
+    # a constant and a collinear column make the design rank-deficient
+    for Z_key, Z in (((), []), (("z1", "z2"), [z1, z2]), (("z2", "z1"), [z2, z1]),
+                     (("z1", "one", "2 z1"), [z1, np.ones(200), 2.0 * z1])):
+        cached = cache.residuals("target", target, Z_key, Z, linear=True)
+        assert cached.tobytes() == residualize_linear(target, Z).tobytes()
+        assert cache.residuals("target", target, Z_key, Z, linear=True) is cached
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+        shared = parcorr_test(x, target, Z, cache=cache, keys=("x", "target", Z_key))
+        fresh = parcorr_test(x, target, Z)
+        assert (shared.statistic.hex(), shared.p_value.hex()) == \
+            (fresh.statistic.hex(), fresh.p_value.hex())
+    series, sd = cache.series("target", target)
+    assert series.tobytes() == target.tobytes() and sd == target.std()
+
+
+def test_cache_keys_name_every_conditioning_series():
+    z = np.random.default_rng(23).normal(size=50)
+    with pytest.raises(ValueError, match="one key per conditioning series"):
+        ResidualCache().residuals("target", z, ("z1", "z2"), [z], linear=True)
+
+
 def parcorr_p_reference(r: float, dof: int) -> float:
     """The Student-t p-value through scipy.stats, as parcorr_test computed it
     before it called the special function directly."""
@@ -339,10 +381,11 @@ def test_cached_residual_equals_a_fresh_call_and_is_read_only():
     rng = np.random.default_rng(13)
     z1, z2 = rng.normal(size=(2, 200))
     target = np.sin(z1) + z2 ** 2 + 0.1 * rng.normal(size=200)
-    cache = KernelRidgeCache(FAST_KRIDGE)
+    cache = ResidualCache(FAST_KRIDGE)
     # column order changes the rounding of the kernel, so (z1, z2) and
     # (z2, z1) are separate keys
-    for Z_key, Z in (("z1 z2", [z1, z2]), ("z2 z1", [z2, z1]), ("constant", [np.ones(200)])):
+    for Z_key, Z in ((("z1", "z2"), [z1, z2]), (("z2", "z1"), [z2, z1]),
+                     (("constant",), [np.ones(200)])):
         cached = cache.residuals("target", target, Z_key, Z)
         assert cached.tobytes() == kernel_ridge_residuals(target, Z, FAST_KRIDGE).tobytes()
         assert cache.residuals("target", target, Z_key, Z) is cached
@@ -350,7 +393,7 @@ def test_cached_residual_equals_a_fresh_call_and_is_read_only():
             cached[0] = 0.0
     x = np.cos(z2) + rng.normal(size=200)
     assert kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3, cache=cache,
-                            keys=("x", "target", "z1 z2")) == \
+                            keys=("x", "target", ("z1", "z2"))) == \
         kridge_dcor_test(x, target, [z1, z2], FAST_KRIDGE, seed=3)
 
 
@@ -374,14 +417,14 @@ def test_cache_computes_each_entry_once_across_threads(monkeypatch):
     builds, solves = [], []
     counting(monkeypatch, "rbf_kernel", builds, pause=0.02)
     counting(monkeypatch, "kernel_ridge_residuals", solves, pause=0.02)
-    cache = KernelRidgeCache(FAST_KRIDGE)
+    cache = ResidualCache(FAST_KRIDGE)
     n_threads = 8
     barrier = threading.Barrier(n_threads, timeout=30)
     results = [None] * n_threads
 
     def ask(i):
         barrier.wait()
-        results[i] = cache.residuals("target", target, "z", [z])
+        results[i] = cache.residuals("target", target, ("z",), [z])
 
     threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
     interval = sys.getswitchinterval()
@@ -411,10 +454,10 @@ def test_cache_raises_a_failed_entry_and_computes_it_again(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(stats, "kernel_ridge_residuals", failing_once)
-    cache = KernelRidgeCache(FAST_KRIDGE)
+    cache = ResidualCache(FAST_KRIDGE)
     with pytest.raises(RuntimeError, match="solve failed"):
-        cache.residuals("target", target, "z", [z])
-    assert cache.residuals("target", target, "z", [z]).tobytes() == \
+        cache.residuals("target", target, ("z",), [z])
+    assert cache.residuals("target", target, ("z",), [z]).tobytes() == \
         original(target, [z], FAST_KRIDGE).tobytes()
 
 
