@@ -35,9 +35,10 @@ MCI test once the parents are fixed (parcorr tests are too short to hand
 off). Most of a kernel-ridge / dCor test runs in numpy loops that release
 the interpreter lock, so two tests overlap in part. Results are read back in
 submission order, so a model does not depend on the number of workers.
-Workers never submit to the pool, so it cannot deadlock. A worker that waits
-for a cache entry waits for the worker computing it, never for a queued
-task, so sharing the cache cannot deadlock either.
+Workers never submit to the pool, so it cannot deadlock. They share the
+phase's cache without a lock and never wait for each other: two workers that
+need the same missing entry at once may both compute it, and both use the
+one copy stored first, which has the same bits.
 
 A PoolWatcher reproduces the batch worker: it scans a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and

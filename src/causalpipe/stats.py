@@ -45,20 +45,22 @@ RBF kernel for kridge_dcor_test, the [1, Z] least-squares matrix for
 parcorr_test), and fits each series once per conditioning set. A test called
 without a cache makes a private one, so there is one code path, and a cached
 residual is the one a fresh call returns, bit for bit: sharing it changes no
-result, and the cache goes with the batch. discovery.py relies on this to run
-independent tests concurrently on a thread pool. Threads overlap only where
-numpy releases the interpreter lock (argsorts, gathers, cumulative sums,
-ufunc loops over large arrays, and the kernel-ridge solve, which gets a
-column right-hand side because the 1-D form holds the lock), which is why
-work is done in few large array operations rather than many small ones:
-te_significance scores all its surrogate shifts at once.
+result, and the cache goes with the batch. The cache is a plain memo with no
+lock, so threads that share it never wait for each other; two that ask for a
+missing entry at once may both compute it, and both get the one stored copy.
+discovery.py relies on this to run independent tests concurrently on a
+thread pool. Threads overlap only where numpy releases the interpreter lock
+(argsorts, gathers, cumulative sums, ufunc loops over large arrays, and the
+kernel-ridge solve, which gets a column right-hand side because the 1-D form
+holds the lock), which is why work is done in few large array operations
+rather than many small ones: te_significance scores all its surrogate shifts
+at once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,20 +323,8 @@ def kernel_ridge_residuals(target, Z, params: KernelRegParams = KernelRegParams(
     return (ys - fitted) * y_sd
 
 
-# What a ResidualCache table holds for a key no one has asked for yet.
+# What a ResidualCache lookup gives for a key it holds no entry for.
 _MISSING = object()
-
-
-class _Pending:
-    """A cache entry being computed: its owner holds `done` until the value is
-    in the table, or until it has set `error` and removed the entry."""
-
-    __slots__ = ("done", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.error: BaseException | None = None
 
 
 def _private_keys(k: int) -> tuple:
@@ -360,51 +350,22 @@ class ResidualCache:
     cached value is the one a fresh call gives, bit for bit. Residuals are
     handed out read-only.
 
-    Each entry is computed exactly once: the first thread to ask computes it,
-    and threads asking for the same key meanwhile wait for its result. A
-    finished entry costs one dict lookup and no lock; the lock guards only
-    the hand-over of a pending one, so work for different keys runs
-    concurrently. A failed computation is raised to its waiters and not kept,
-    so a later request tries again. Create one per phase and let it go with
-    the phase.
+    It is a plain memo: a request for a missing entry computes it and stores
+    it with dict.setdefault, without a lock. Threads that ask for the same
+    missing entry at once may each compute it; the duplicates have the same
+    bits, and setdefault hands every caller the one stored object. A failed
+    computation stores nothing, so a later request tries again. Create one
+    per phase and let it go with the phase.
     """
 
     def __init__(self, params: KernelRegParams = KernelRegParams()):
         self.params = params
-        self._lock = threading.Lock()
         self._entries: dict = {}
 
-    def _once(self, key, compute):
-        entry = self._entries.get(key, _MISSING)
-        if entry is _MISSING or type(entry) is _Pending:
-            return self._compute_once(key, compute)
-        return entry
-
-    def _compute_once(self, key, compute):
-        with self._lock:
-            entry = self._entries.get(key, _MISSING)
-            owner = entry is _MISSING
-            if owner:
-                entry = self._entries[key] = _Pending()
-        if type(entry) is not _Pending:  # finished meanwhile
-            return entry
-        if not owner:
-            with entry.done:  # released once the owner is done
-                pass
-            if entry.error is not None:
-                raise entry.error
-            return self._entries[key]
-        try:
-            value = compute()
-        except BaseException as exc:
-            entry.error = exc
-            with self._lock:
-                del self._entries[key]
-            entry.done.release()
-            raise
-        with self._lock:
-            self._entries[key] = value
-        entry.done.release()
+    def _memo(self, key, compute):
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._entries.setdefault(key, compute())
         return value
 
     def series(self, key, values, name: str = "series") -> tuple[np.ndarray, float]:
@@ -413,7 +374,7 @@ class ResidualCache:
             arr = _as_series(values, name)
             return arr, arr.std()
 
-        return self._once(("series", key), validate)
+        return self._memo(("series", key), validate)
 
     def _columns(self, Z_key: tuple, Z) -> list[np.ndarray]:
         if len(Z_key) != len(Z):
@@ -429,13 +390,13 @@ class ResidualCache:
         def linear_fit() -> np.ndarray:
             design = None  # an empty Z has none: the residual is the centred target
             if Z:
-                design = self._once(("linear design", Z_key),
+                design = self._memo(("linear design", Z_key),
                                     lambda: linear_design(self._columns(Z_key, Z)))
             return residualize_linear(target, Z, design=design)
 
         def kernel_fit() -> np.ndarray:
             columns = self._columns(Z_key, Z)
-            kernel = self._once(("rbf kernel", Z_key), lambda: rbf_kernel(columns))
+            kernel = self._memo(("rbf kernel", Z_key), lambda: rbf_kernel(columns))
             return kernel_ridge_residuals(target, columns, self.params, kernel=kernel)
 
         def fit() -> np.ndarray:
@@ -444,7 +405,7 @@ class ResidualCache:
             return r
 
         kind = "linear fit" if linear else "kernel ridge fit"
-        return self._once((kind, target_key, Z_key), fit)
+        return self._memo((kind, target_key, Z_key), fit)
 
 
 def _centered_distance_matrix(x: np.ndarray) -> np.ndarray:
@@ -669,15 +630,18 @@ def kridge_dcor_test(x, y, Z=(), params: KernelRegParams = KernelRegParams(),
     """Nonlinear CI test: kernel-ridge residuals + distance correlation.
 
     With Z empty this reduces to the permutation dcor test on centered series.
-    With a `cache` (built with the same params), `keys` = (x key, y key, Z key)
-    name the series within its phase (the Z key is the tuple of its columns'
-    keys), and the validated series, Z's kernel and the residuals are shared
-    with the other tests that use the cache; without one, the test makes a
-    private cache, so x and y still share Z's kernel.
+    With a `cache`, which must be built with the same params (else
+    ValueError), `keys` = (x key, y key, Z key) name the series within its
+    phase (the Z key is the tuple of its columns' keys), and the validated
+    series, Z's kernel and the residuals are shared with the other tests that
+    use the cache; without one, the test makes a private cache, so x and y
+    still share Z's kernel.
     """
     Z = tuple(Z)
     if cache is None:
         cache, keys = ResidualCache(params), _private_keys(len(Z))
+    elif cache.params != params:
+        raise ValueError(f"cache fits with {cache.params}, the test was given {params}")
     x_key, y_key, Z_key = keys
     x, sx = cache.series(x_key, x, "x")
     y, sy = cache.series(y_key, y, "y")
@@ -763,6 +727,16 @@ def _shifted_transfer_entropy(src: np.ndarray, dst: np.ndarray, shifts,
 TE_MIN_ROWS = 50
 
 
+def _te_pair(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    src = _as_series(src, "src")
+    dst = _as_series(dst, "dst")
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal lengths")
+    if len(src) < TE_MIN_ROWS:
+        raise ValueError(f"need length >= {TE_MIN_ROWS}, got {len(src)}")
+    return src, dst
+
+
 def transfer_entropy(src, dst, params: TEParams = TEParams()) -> float:
     """Plug-in estimate (nats) of I(dst_t ; src past | dst past).
 
@@ -770,12 +744,7 @@ def transfer_entropy(src, dst, params: TEParams = TEParams()) -> float:
     conditional mutual information is non-negative by construction and is
     clamped at 0 against round-off. Constant series give 0.
     """
-    src = _as_series(src, "src")
-    dst = _as_series(dst, "dst")
-    if len(src) != len(dst):
-        raise ValueError("src and dst must have equal lengths")
-    if len(src) < TE_MIN_ROWS:
-        raise ValueError(f"need length >= {TE_MIN_ROWS}, got {len(src)}")
+    src, dst = _te_pair(src, dst)
     return float(_shifted_transfer_entropy(src, dst, [0], params)[0])
 
 
@@ -783,19 +752,20 @@ def te_significance(src, dst, params: TEParams = TEParams(),
                     seed: int = 0) -> tuple[float, float, bool]:
     """Transfer entropy against a circular-shift surrogate threshold.
 
-    Returns (te, threshold, significant) where the threshold is the
-    params.quantile quantile of TE over shuffles circular shifts of src;
-    circular shifts preserve the source's autocorrelation. Shifts keep a
-    guard band away from zero: a nearly-unshifted surrogate still carries
-    the genuine coupling at adjacent lags and would contaminate the null.
+    Returns (te, threshold, significant) where te is transfer_entropy(src,
+    dst, params) and the threshold is the params.quantile quantile of TE over
+    shuffles circular shifts of src; circular shifts preserve the source's
+    autocorrelation. Shifts keep a guard band away from zero: a
+    nearly-unshifted surrogate still carries the genuine coupling at adjacent
+    lags and would contaminate the null. The unshifted source is scored with
+    the surrogates, as shift 0, so both series are binned once.
     """
-    src = _as_series(src, "src")
-    dst = _as_series(dst, "dst")
-    te = transfer_entropy(src, dst, params)
+    src, dst = _te_pair(src, dst)
     rng = np.random.default_rng(seed)
     n = len(src)
     guard = min(max(10, params.k + 1), n // 4)
     shifts = [int(rng.integers(guard, n - guard + 1)) for _ in range(params.shuffles)]
-    surrogates = _shifted_transfer_entropy(src, dst, shifts, params)
-    threshold = float(np.quantile(surrogates, params.quantile))
+    scores = _shifted_transfer_entropy(src, dst, [0, *shifts], params)
+    te = float(scores[0])
+    threshold = float(np.quantile(scores[1:], params.quantile))
     return te, threshold, te > threshold

@@ -405,8 +405,10 @@ def test_each_kernel_is_built_once_per_batch(monkeypatch):
         return lookup(cache, target_key, target, Z_key, Z, **kwargs)
 
     monkeypatch.setattr(stats.ResidualCache, "residuals", recording)
-    # on the shared pool: workers asking for one entry at once wait for one build
-    discover(kridge_batch(4), KRIDGE_FAST, batch_id="count")
+    # one worker: no two requests race, so each entry is computed exactly once
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(discovery, "_pool", pool)
+        discover(kridge_batch(4), KRIDGE_FAST, batch_id="count")
     # Z keys are the ordered conditioning variables
     assert len(builds) == len({Z_key for _, Z_key in requests})
     assert len(solves) == len(set(requests))

@@ -18,40 +18,68 @@ from causalpipe import discovery
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
-# One stream of the hri_parcorr workload: the default scenario of the given
-# seed, analysed by pcmci + parcorr, twelve 150 s batches. Prints the sha256
-# of every model file, by stream and file name.
-HRI_PARCORR = """
+# Streams of one benchmark workload: the default scenario of each seed,
+# analysed by the given method and CI test over the given number of 150 s
+# batches. Prints the sha256 of every model file, by stream and file name.
+WORKLOAD = """
 import dataclasses, hashlib, json, sys
 from pathlib import Path
 from causalpipe.config import default_config
 from causalpipe.pipeline import run_pipeline
 
+root, ci_test, method, batches, *streams = sys.argv[1:]
 digests = {}
-for stream in sys.argv[2:]:
-    out = Path(sys.argv[1]) / stream
+for stream in streams:
+    out = Path(root) / stream
     cfg = default_config(out, seed=int(stream))
-    cfg.duration = 12 * cfg.collector.batch_seconds
-    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test="parcorr", method="pcmci")
+    cfg.duration = int(batches) * cfg.collector.batch_seconds
+    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test=ci_test, method=method)
     run_pipeline(cfg)
     digests[stream] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                        for p in sorted(out.glob("model_*.json"))}
 print(json.dumps(digests))
 """
 
+# One BLAS thread, as recorded: the kernel-ridge solve sums in an order that
+# depends on the thread count, whichever threading library BLAS uses.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 
-@pytest.mark.skipif(not REFERENCE.exists(), reason="no benchmark reference in this checkout")
-def test_parcorr_models_match_the_benchmark_reference(tmp_path):
-    # streams 0 (primary) and 8 (held out); one BLAS thread, as recorded
-    streams = ["0", "8"]
-    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hri_parcorr"]
+
+def workload_digests(tmp_path, ci_test: str, method: str, batches: int,
+                     streams: list[str]) -> dict:
     src = os.path.dirname(os.path.dirname(discovery.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", HRI_PARCORR, str(tmp_path), *streams],
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    proc = subprocess.run([sys.executable, "-c", WORKLOAD, str(tmp_path), ci_test, method,
+                           str(batches), *streams],
+                          env={**os.environ, "PYTHONPATH": path, **ONE_BLAS_THREAD},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    digests = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+needs_reference = pytest.mark.skipif(not REFERENCE.exists(),
+                                     reason="no benchmark reference in this checkout")
+
+
+@needs_reference
+def test_parcorr_models_match_the_benchmark_reference(tmp_path):
+    # hri_parcorr streams 0 (primary) and 8 (held out)
+    streams = ["0", "8"]
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hri_parcorr"]
+    digests = workload_digests(tmp_path, "parcorr", "pcmci", 12, streams)
     for stream in streams:
         assert len(digests[stream]) == 12
+        assert digests[stream] == reference[stream], f"stream {stream}"
+
+
+@needs_reference
+def test_kridge_models_match_the_benchmark_reference(tmp_path):
+    # hri_kridge, the shipped default (fpcmci + kridge_dcor), streams 2
+    # (primary) and 10 (held out); its tests share a cache across the pool
+    streams = ["2", "10"]
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hri_kridge"]
+    digests = workload_digests(tmp_path, "kridge_dcor", "fpcmci", 1, streams)
+    for stream in streams:
+        assert len(digests[stream]) == 1
         assert digests[stream] == reference[stream], f"stream {stream}"

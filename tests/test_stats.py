@@ -410,7 +410,7 @@ def counting(monkeypatch, name, calls, pause=0.0):
     monkeypatch.setattr(stats, name, counted)
 
 
-def test_cache_computes_each_entry_once_across_threads(monkeypatch):
+def test_racing_threads_share_one_stored_read_only_entry(monkeypatch):
     rng = np.random.default_rng(14)
     z = rng.normal(size=300)
     target = np.tanh(z) + 0.1 * rng.normal(size=300)
@@ -437,9 +437,21 @@ def test_cache_computes_each_entry_once_across_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(builds) == 1 and len(solves) == 1
+    # threads that race on the missing entry may each compute it, but every
+    # one of them gets the copy stored first
+    assert 1 <= len(builds) <= n_threads and 1 <= len(solves) <= n_threads
     assert all(r is results[0] for r in results)
+    assert cache.residuals("target", target, ("z",), [z]) is results[0]
+    assert not results[0].flags.writeable
     assert results[0].tobytes() == kernel_ridge_residuals(target, [z], FAST_KRIDGE).tobytes()
+
+
+def test_kridge_test_rejects_a_cache_built_with_other_params():
+    rng = np.random.default_rng(16)
+    z, x, y = rng.normal(size=(3, 100))
+    cache = ResidualCache(KernelRegParams(ridge=1e-2, permutations=50))
+    with pytest.raises(ValueError, match="cache fits with"):
+        kridge_dcor_test(x, y, [z], FAST_KRIDGE, cache=cache, keys=("x", "y", ("z",)))
 
 
 def test_cache_raises_a_failed_entry_and_computes_it_again(monkeypatch):
@@ -748,6 +760,12 @@ def test_te_nonnegative_on_identical_series():
 def test_te_requires_length_fifty():
     with pytest.raises(ValueError):
         transfer_entropy(np.arange(10.0), np.arange(10.0))
+    # and equal lengths, with or without surrogates
+    for te in (transfer_entropy, te_significance):
+        with pytest.raises(ValueError, match="length >= 50"):
+            te(np.arange(49.0), np.arange(49.0))
+        with pytest.raises(ValueError, match="equal lengths"):
+            te(np.arange(100.0), np.arange(99.0))
 
 
 def test_te_significance_independent_pair():
