@@ -1,41 +1,58 @@
 """End-to-end orchestration: simulate, collect, discover, export.
 
-One simulated clock drives the simulator and the collector in lockstep, and
-the same loop drives the pool watcher (PoolWatcher.step): it does every pool
-file operation itself, and the watcher's analysis thread only runs
-`discover`, so analysing one batch never blocks collection of the next. The
-loop steps the watcher once before the first tick, to take a backlog an
-earlier run left in the pool, and then only after a tick in which a CSV
-landed or while a batch is in analysis, so an idle watcher costs no scan.
-When the loop ends, `drain()` runs the backlog through the same step(),
-waiting for each batch; a quiet abort only finishes the batch in analysis.
+Collection and discovery run in two processes, as ROS-Causal's collection
+and discovery nodes do. `run_pipeline` starts one child process, the
+generator, from an explicit `fork` context (where fork is missing, `spawn`
+runs the same module-level target). The child builds its own bus, Simulator
+and Collector, and one simulated clock drives the two in lockstep, writing
+CSV batches into the pool. Over a one-way pipe it reports each CSV that
+landed, with the time it landed (right after its atomic rename), its log
+records at WARNING and above, which the calling process re-emits once, and
+at the end its sample counts and loop time.
+
+The calling process keeps the model topic, the pool watcher, the model
+files and the manifest. Its loop blocks until the generator reports or the
+batch in analysis ends, then steps the watcher (PoolWatcher.step): it does
+every pool file operation itself, and the watcher's analysis thread only
+runs `discover`. So collection never waits on analysis, and analysis never
+waits for the generator's interpreter lock: the calling process runs no
+thread beside the generator. The generator is started before the watcher's
+first step, so this run has started no thread when it forks; the first step
+waits for the generator's Collector, which numbers its batches past any
+backlog an earlier run left in the pool. When the generator ends, `drain()`
+runs the backlog through the same step(), waiting for each batch; a quiet
+abort only finishes the batch in analysis. A generator that raises or dies
+fails the run with a GeneratorError once the watcher is stopped; it is
+always joined.
 
 Every completed batch yields a JSON and a DOT model file in the output
 directory, and the run ends with a manifest (config echo, seed, per-batch
 timings, edge lists, artifact checksums, and `bus_dropped`: the state
 messages the collector's bounded subscriptions dropped). `wall_seconds` is
-the whole run; `generator_seconds` is its simulate-and-collect loop, without
-the final drain of the pool.
+the whole run; `generator_seconds` is the generator's simulate-and-collect
+loop, next to its exit code and its peak resident memory.
 
 A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
-file waited for the watcher. Landing times are taken on the simulation
-loop: after each collector tick, every file newly appended to
-`collector.files_written` is stamped with the current time. A CSV that an
-earlier run left in the pool is stamped with the run's start. The manifest's
-checksums are of the bytes each model file was written with, not read back
-from disk.
+file waited for the watcher. A CSV that an earlier run left in the pool is
+stamped with the run's start. The manifest's checksums are of the bytes each
+model file was written with, not read back from disk.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
 import os
+import sys
+import threading
 import time as time_mod
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bus import MessageBus
 from .collector import Collector
@@ -47,7 +64,17 @@ from .sim import SIM_DT, Simulator
 from .state import AgentState, HUMAN_TOPIC, ROBOT_TOPIC
 from .timeseries import read_csv, write_atomic
 
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
+# multiprocessing is imported when a run starts, not with this module: its
+# import (about 12 ms) would add to every start-up that never runs a pipeline
+
 log = logging.getLogger(__name__)
+
+
+class GeneratorError(RuntimeError):
+    """The generator process raised or died before it finished its run."""
 
 
 @dataclass
@@ -70,11 +97,179 @@ def _export_pair(model: CausalModel, out_dir: Path,
     return (json_path, dot_path), written
 
 
+# --- the generator process ----------------------------------------------------
+
+class _ForwardRecords(logging.Handler):
+    """Sends each record at WARNING and above over the generator's pipe,
+    with its message and traceback already formatted: arguments and
+    tracebacks may not pickle."""
+
+    def __init__(self, report: Connection):
+        super().__init__(logging.WARNING)
+        self.report = report
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            self.format(record)  # sets record.message, and record.exc_text
+            record = copy.copy(record)
+            record.msg, record.args, record.exc_info = record.message, None, None
+            self.report.send(("log", record))
+        except Exception:
+            self.handleError(record)
+
+
+def _peak_rss_mb() -> float | None:
+    try:
+        import resource
+    except ImportError:  # no getrusage on this platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 1024)  # bytes there, KiB here
+
+
+def _generate(config: ScenarioConfig, report: Connection) -> None:
+    """The generator process: simulate and collect `config`'s scenario into
+    the pool, reporting over `report` ("ready" once its Collector is built,
+    then ("landed", csv name, perf_counter) for each CSV, ("log", record),
+    and ("done", summary) or ("failed", traceback text))."""
+    # the package's records go to the calling process only, never to
+    # handlers a fork copied from it
+    package_log = logging.getLogger(__package__)
+    package_log.handlers = [_ForwardRecords(report)]
+    package_log.propagate = False
+    try:
+        bus = MessageBus()
+        bus.create_topic(ROBOT_TOPIC, AgentState)
+        bus.create_topic(HUMAN_TOPIC, AgentState)
+        sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed, bus=bus)
+        postprocessor = resolve_postprocessor(config.collector.postprocessor, config.risk)
+        collector = Collector(bus, config.collector, postprocessor)
+        report.send(("ready",))
+        written = collector.files_written
+        stamped = 0  # written[:stamped] are reported
+
+        def tick(now: float) -> None:
+            nonlocal stamped
+            collector.tick(now)
+            if len(written) > stamped:
+                landed = time_mod.perf_counter()
+                for path in written[stamped:]:
+                    report.send(("landed", path.name, landed))
+                stamped = len(written)
+
+        started = time_mod.perf_counter()
+        sim.publish_initial()
+        tick(0.0)
+        for k in range(1, round(config.duration / SIM_DT) + 1):
+            sim.step(SIM_DT)
+            tick(k * SIM_DT)
+        loop_seconds = time_mod.perf_counter() - started
+        report.send(("done", {
+            "samples_taken": collector.samples_taken,
+            "samples_skipped": collector.samples_skipped,
+            "dropped": collector.dropped,
+            "csv_files_written": len(written),
+            "loop_seconds": loop_seconds,
+            "peak_rss_mb": _peak_rss_mb(),
+        }))
+    except Exception:
+        report.send(("failed", traceback.format_exc()))
+        raise SystemExit(1) from None  # reported: no second traceback on stderr
+    finally:
+        report.close()
+
+
+class _AnalysisWaker:
+    """A pipe end that turns readable when the batch in analysis ends, so
+    one `wait` covers the generator's reports and the analysis."""
+
+    def __init__(self) -> None:
+        import multiprocessing
+
+        self.readable, self._writable = multiprocessing.Pipe(duplex=False)
+        self._watched = None
+        self._lock = threading.Lock()  # the analysis thread never writes to a closed pipe
+        self._closed = False
+
+    def watch(self, watcher: PoolWatcher) -> None:
+        future = watcher.analysis
+        if future is not None and future is not self._watched:
+            self._watched = future
+            future.add_done_callback(self._wake)  # runs at once if already done
+
+    def _wake(self, _future) -> None:
+        with self._lock:
+            if not self._closed:
+                self._writable.send_bytes(b"")
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._writable.close()
+        self.readable.close()
+
+
+def _reemit(record: logging.LogRecord) -> None:
+    logger = logging.getLogger(record.name)
+    if logger.isEnabledFor(record.levelno):
+        logger.handle(record)
+
+
+def _follow(reports: Connection, watcher: PoolWatcher, landed: dict[str, float]) -> dict:
+    """Step the watcher whenever the generator reports or the batch in
+    analysis ends, until the generator's summary arrives; returns it."""
+    from multiprocessing.connection import wait
+
+    waker = _AnalysisWaker()
+    try:
+        while True:
+            ready = wait([reports, waker.readable])
+            step = waker.readable in ready
+            if step:
+                waker.readable.recv_bytes()
+            summary = None
+            while summary is None and reports.poll():
+                try:
+                    kind, *body = reports.recv()
+                except (EOFError, OSError):
+                    raise GeneratorError("the generator process died before it "
+                                         "finished its run") from None
+                if kind == "landed":
+                    name, at = body
+                    landed[name] = at
+                    step = True
+                elif kind == "log":
+                    _reemit(body[0])
+                elif kind == "ready":
+                    step = True
+                elif kind == "done":
+                    summary = body[0]
+                else:
+                    raise GeneratorError(f"the generator process raised:\n{body[0]}")
+            if step:
+                watcher.step()
+                waker.watch(watcher)
+            if summary is not None:
+                return summary
+    finally:
+        waker.close()
+
+
+def _process_context():
+    """fork where the platform has it: the generator starts in about a
+    millisecond, with every module loaded. Elsewhere spawn, which imports
+    this module afresh to run the same target."""
+    import multiprocessing
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    return multiprocessing.get_context(method)
+
+
 def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineResult:
     """Run the full scenario described by `config`.
 
     With drain_pool=False the backlog left at shutdown is abandoned (quiet
-    abort).
+    abort). Raises GeneratorError when the generator process raises or dies.
     """
     problems = validate(config)
     if problems:
@@ -86,13 +281,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     pool_dir.mkdir(parents=True, exist_ok=True)
 
     bus = MessageBus()
-    bus.create_topic(ROBOT_TOPIC, AgentState)
-    bus.create_topic(HUMAN_TOPIC, AgentState)
     bus.create_topic(MODEL_TOPIC, CausalModel)
-
-    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed, bus=bus)
-    postprocessor = resolve_postprocessor(config.collector.postprocessor, config.risk)
-    collector = Collector(bus, config.collector, postprocessor)
 
     result = PipelineResult(output_dir=out_dir, manifest_path=out_dir / "manifest.json")
     batch_rows: list[dict] = []
@@ -119,48 +308,45 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
 
     watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus, on_model=on_model)
 
-    stamped = 0  # collector.files_written[:stamped] are in `landed`
-
-    def tick(now: float) -> None:
-        nonlocal stamped
-        collector.tick(now)
-        written = collector.files_written
-        if len(written) > stamped or watcher.analysing:
-            for path in written[stamped:]:
-                landed[path.name] = time_mod.perf_counter()
-            stamped = len(written)
-            watcher.step()
-
     # a backlog an earlier run left in the pool has waited since this run began
     backlog = [name for name in os.listdir(pool_dir) if name.endswith(".csv")]
     started = time_mod.perf_counter()
     landed.update(dict.fromkeys(backlog, started))
+    context = _process_context()
+    reports, report_end = context.Pipe(duplex=False)
+    generator = context.Process(target=_generate, args=(config, report_end),
+                                name="causalpipe-generator")
+    generator.start()
+    # the generator now holds the only write end: its exit reads as EOF here
+    report_end.close()
     try:
-        watcher.step()
-        sim.publish_initial()
-        tick(0.0)
-        steps = round(config.duration / SIM_DT)
-        for k in range(1, steps + 1):
-            sim.step(SIM_DT)
-            tick(k * SIM_DT)
-        generator_seconds = time_mod.perf_counter() - started
-    finally:
+        summary = _follow(reports, watcher, landed)
+    except BaseException:
+        generator.terminate()
+        watcher.stop()
+        raise
+    else:
         watcher.drain() if drain_pool else watcher.stop()
+    finally:
+        generator.join()
+        reports.close()
 
-    result.csv_files_written = len(collector.files_written)
+    result.csv_files_written = summary["csv_files_written"]
     result.quarantined = watcher.quarantined
     manifest = {
         "config": config_to_dict(config),
         "seed": config.seed,
         "sim_dt": SIM_DT,
-        "samples_taken": collector.samples_taken,
-        "samples_skipped": collector.samples_skipped,
-        "bus_dropped": collector.dropped,
+        "samples_taken": summary["samples_taken"],
+        "samples_skipped": summary["samples_skipped"],
+        "bus_dropped": summary["dropped"],
         "csv_files_written": result.csv_files_written,
         "models_published": watcher.published,
         "quarantined": watcher.quarantined,
         "batches": batch_rows,
-        "generator_seconds": round(generator_seconds, 6),
+        "generator_seconds": round(summary["loop_seconds"], 6),
+        "generator_exit_code": generator.exitcode,
+        "generator_peak_rss_mb": summary["peak_rss_mb"],
         "wall_seconds": round(time_mod.perf_counter() - started, 6),
     }
     write_atomic(result.manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

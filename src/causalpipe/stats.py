@@ -142,8 +142,12 @@ def _column_matrix(Z) -> np.ndarray:
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation; constant input yields 0 (independent)."""
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
+    return _pearson(_as_series(x, "x"), _as_series(y, "y"))
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """pearson() of two series as _as_series gives them, without checking
+    them again."""
     if len(x) != len(y) or len(x) < 3:
         raise ValueError(f"need equal lengths >= 3, got {len(x)} and {len(y)}")
     xc = x - x.mean()
@@ -155,24 +159,28 @@ def pearson(x, y) -> float:
     return min(max(float((xc @ yc) / denom), -1.0), 1.0)
 
 
-def linear_design(Z) -> np.ndarray | None:
+def linear_design(columns: list[np.ndarray]) -> np.ndarray | None:
     """The least-squares design [1, Z]: an intercept column, then the columns
-    of Z; None when Z is empty."""
-    Zm = _column_matrix(Z)
-    if Zm.size == 0:
+    of Z, each as _as_series gives it (they are not checked again); None when
+    Z is empty."""
+    if not columns:
         return None
-    return np.column_stack([np.ones(len(Zm)), Zm])
+    return np.column_stack([np.ones(len(columns[0])), *columns])
 
 
-def residualize_linear(target, Z, design: np.ndarray | None = None) -> np.ndarray:
+def residualize_linear(target, Z) -> np.ndarray:
     """Residuals of a least-squares fit of target on Z plus an intercept.
 
     Rank-deficient Z is tolerated (lstsq minimum-norm solution; logged).
-    `design` is linear_design(Z), when the caller already has it.
     """
     y = _as_series(target, "target")
-    if design is None:
-        design = linear_design(Z)
+    return _linear_residuals(
+        y, linear_design([_as_series(z, "conditioning series") for z in Z]))
+
+
+def _linear_residuals(y: np.ndarray, design: np.ndarray | None) -> np.ndarray:
+    """residualize_linear() of a series as _as_series gives it, on Z's
+    linear_design(), without checking either again."""
     n = len(y)
     k = 0 if design is None else design.shape[1] - 1
     if k >= n - 2:
@@ -241,7 +249,7 @@ def parcorr_test(x, y, Z=(), cache: ResidualCache | None = None,
     # Residuals of a fit with an intercept have mean 0: r @ r / n is their variance.
     if rx @ rx <= _COLLAPSED * n * sx * sx or ry @ ry <= _COLLAPSED * n * sy * sy:
         return INDEPENDENT
-    r = pearson(rx, ry)
+    r = _pearson(rx, ry)  # the cache's residuals, of series it checked
     if 1.0 - r * r < 1e-15:
         p = _P_FLOOR
     else:
@@ -345,7 +353,9 @@ class ResidualCache:
       * one design per conditioning key: rbf_kernel(Z) for kridge_dcor_test,
         linear_design(Z) for parcorr_test;
       * each residual, once per (series key, conditioning key), from
-        kernel_ridge_residuals or residualize_linear given that design.
+        kernel_ridge_residuals given that design, or from the least-squares
+        fit of residualize_linear on the checked series and design, which it
+        does not check again.
     Each comes from the function a fresh call uses, on the same arrays, so a
     cached value is the one a fresh call gives, bit for bit. Residuals are
     handed out read-only.
@@ -386,13 +396,14 @@ class ResidualCache:
                   linear: bool = False) -> np.ndarray:
         """The residuals of `target` given Z: the least-squares fit of
         residualize_linear when `linear`, else the kernel-ridge fit of
-        kernel_ridge_residuals with the cache's params."""
+        kernel_ridge_residuals with the cache's params. `target` is the
+        series as series() gave it."""
         def linear_fit() -> np.ndarray:
             design = None  # an empty Z has none: the residual is the centred target
             if Z:
                 design = self._memo(("linear design", Z_key),
                                     lambda: linear_design(self._columns(Z_key, Z)))
-            return residualize_linear(target, Z, design=design)
+            return _linear_residuals(target, design)
 
         def kernel_fit() -> np.ndarray:
             columns = self._columns(Z_key, Z)

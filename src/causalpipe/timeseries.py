@@ -108,7 +108,14 @@ def write_csv(batch: TimeSeriesBatch, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> TimeSeriesBatch:
-    """Parse a batch CSV; malformed input raises with the offending line."""
+    """Parse a batch CSV; malformed input raises with the offending line.
+
+    With a "time" column of two or more rows, the batch's dt is the median
+    time step. A dt that is not a positive finite number (a column that does
+    not increase, or whose steps overflow), or a last grid time t0 + (n-1)*dt
+    past the largest float, is a CsvFormatError: a model is published at its
+    batch's end time.
+    """
     path = Path(path)
     # text mode would turn "\r\n" and "\r" into "\n" first; splitlines()
     # breaks at all three anyway, so the lines are the same, for fewer
@@ -149,5 +156,13 @@ def read_csv(path: str | Path) -> TimeSeriesBatch:
         t = rows[:, names.index(TIME_COLUMN)]
         t0 = float(t[0])
         if len(t) >= 2:
-            dt = float(np.median(np.diff(t)))
+            # steps between finite times can overflow, to inf or nan: rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                dt = float(np.median(np.diff(t)))
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise CsvFormatError(f"{path.name}: time step {dt!r} is not a positive "
+                                     "finite number")
+            if not math.isfinite(t0 + (len(t) - 1) * dt):
+                raise CsvFormatError(f"{path.name}: {len(t)} rows at time step {dt!r} "
+                                     f"from {t0!r} end past the largest float")
     return TimeSeriesBatch(variable_names=names, t0=t0, dt=dt, rows=rows)

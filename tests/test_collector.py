@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from causalpipe import collector as collector_mod
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
 from causalpipe.pipeline import run_pipeline
@@ -224,6 +225,24 @@ def simulate(config, steps, seed, tick_every=1, capacity=64):
     for k in range(1, steps + 1):
         world = sim.step(SIM_DT)
         yield collector, world, collector.tick(k * SIM_DT) if k % tick_every == 0 else None
+
+
+def test_the_collector_looks_up_write_csv_at_call_time(tmp_path, monkeypatch):
+    # the benchmark's traced replay times CSV writes by wrapping this name
+    written = []
+    write = collector_mod.write_csv
+
+    def counting(batch, path):
+        written.append(path)
+        write(batch, path)
+
+    monkeypatch.setattr(collector_mod, "write_csv", counting)
+    config = default_config(tmp_path, seed=2)
+    config.collector = dataclasses.replace(config.collector, batch_seconds=60.0)
+    for collector, _, _ in simulate(config, round(60.0 / SIM_DT), seed=2):
+        pass
+    assert written == collector.files_written
+    assert len(written) == 1
 
 
 def test_generator_bytes_are_pinned(tmp_path):

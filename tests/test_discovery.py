@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalpipe import collector, discovery, stats
+from causalpipe import discovery, stats
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
 from causalpipe.discovery import (MODEL_TOPIC, BatchTooShortError, CausalModel,
@@ -480,6 +480,36 @@ def test_each_parcorr_design_and_fit_is_computed_once_per_phase(monkeypatch):
     assert len(built) < len(fits) < len(conditioned)  # both are reused
 
 
+def test_parcorr_checks_each_series_once_per_phase(monkeypatch):
+    # the fits and the correlations take the series and residuals the
+    # phase's cache has checked: the cache's own check of each series it
+    # holds is the only one
+    phases, checks = [], Counter()  # the series keys each phase's cache holds
+    init, check, series = stats.ResidualCache.__init__, stats._as_series, \
+        stats.ResidualCache.series
+
+    def tracked(cache, *args, **kwargs):
+        init(cache, *args, **kwargs)
+        phases.append(set())
+
+    def counting(x, name="series"):
+        checks[len(phases) - 1] += 1
+        return check(x, name)
+
+    def requested(cache, key, values, name="series"):
+        phases[-1].add(key)  # parcorr runs inline: the newest cache asks
+        return series(cache, key, values, name)
+
+    monkeypatch.setattr(stats.ResidualCache, "__init__", tracked)
+    monkeypatch.setattr(stats, "_as_series", counting)
+    monkeypatch.setattr(stats.ResidualCache, "series", requested)
+    batch, _ = scm_batch([Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6)], n_vars=3, seed=4)
+    discover(batch, PARCORR, batch_id="checks")
+    assert len(phases) == 2
+    assert [checks[phase] for phase in range(2)] == [len(keys) for keys in phases]
+    assert all(len(keys) >= 6 for keys in phases)
+
+
 def test_discover_leaves_no_per_batch_state(monkeypatch):
     caches = []
     init = stats.ResidualCache.__init__
@@ -537,14 +567,16 @@ def test_batches_analysed_concurrently_give_their_sequential_models():
     assert sequential[0] != sequential[1]
 
 
-# The module attributes the benchmark's traced replay replaces with timing
+# The analysis attributes the benchmark's traced replay replaces with timing
 # wrappers. The program must look each up at call time, or a layer's time and
-# call count silently read 0.
+# call count silently read 0. The replay also wraps `collector.write_csv`,
+# which run_pipeline calls in its generator process, out of reach of a
+# wrapper counting here: tests/test_collector.py checks that lookup on the
+# in-process Collector path the replay drives.
 TRACED = [(discovery, "pc1_condition_selection"), (discovery, "mci_tests"),
           (discovery, "kridge_dcor_test"), (discovery, "parcorr_test"),
           (discovery, "te_significance"), (discovery, "discover"),
-          (stats, "kernel_ridge_residuals"), (stats, "dcor_perm_test"),
-          (collector, "write_csv")]
+          (stats, "kernel_ridge_residuals"), (stats, "dcor_perm_test")]
 
 
 @pytest.mark.parametrize("ci_test, method, unreached", [
@@ -791,6 +823,31 @@ def test_watcher_quarantines_corrupt_file(tmp_path):
     assert watcher.published + watcher.quarantined == 2
     assert list(pool.glob("*.csv")) == []
     assert [p.name for p in (pool / "quarantine").iterdir()] == [bad.name]
+
+
+def test_watcher_quarantines_a_batch_without_a_finite_time_step(tmp_path, caplog):
+    # steps that overflow give no finite end time to publish the model at;
+    # had it been published at inf, every later model would be clamped to inf
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    rows = np.random.default_rng(0).standard_normal((500, 3))
+    times = np.tile([-1e308, 1e308], 250)
+    bad = pool / "data_00000_000000000000.csv"
+    write_csv(TimeSeriesBatch(["time", "a", "b", "c"], 0.0, 1.0,
+                              np.column_stack([times, rows])), bad)
+    good = TimeSeriesBatch(["time", "a", "b", "c"], 150.0, 0.3,
+                           np.column_stack([150.0 + 0.3 * np.arange(500), rows]))
+    write_csv(good, pool / "data_00001_000000150000.csv")
+    bus = MessageBus()
+    bus.create_topic(MODEL_TOPIC, CausalModel)
+    sub = bus.subscribe(MODEL_TOPIC)
+    with caplog.at_level(logging.WARNING, logger="causalpipe.discovery"):
+        models = PoolWatcher(pool, PARCORR, bus=bus).drain()
+    assert [m.batch_id for m in models] == ["1"]
+    assert [p.name for p in (pool / "quarantine").iterdir()] == [bad.name]
+    assert "time step inf" in caplog.text
+    [published] = sub.drain()
+    assert published.publish_time == pytest.approx(150.0 + 499 * 0.3)
 
 
 def test_watcher_keeps_every_quarantined_file(tmp_path):

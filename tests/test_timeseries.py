@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,11 +119,30 @@ def test_written_bytes_equal_the_reference(tmp_path):
         rng.normal(scale=[1e-300, 1e-6, 1.0, 1e300], size=(200, 4)),
         rng.integers(-5, 5, size=(20, 4)).astype(float),
     ])
-    batch = make_batch(rows, names=["time", "a", "b", "c"])
+    # no "time" column: these values are no time grid, which read_csv rejects
+    batch = make_batch(rows, names=["x", "a", "b", "c"])
     path = tmp_path / "ref.csv"
     write_csv(batch, path)
     assert path.read_bytes() == csv_text_reference(batch).encode("utf-8")
     np.testing.assert_array_equal(read_csv(path).rows, rows)
+
+
+@pytest.mark.parametrize("times, problem", [
+    ([-1e308, 1e308] * 250, "time step inf is not"),  # every step overflows
+    ([1e308, -1e308, 1e308], "time step nan is not"),  # the median of -inf and inf
+    ([0.6, 0.3, 0.0], "time step -0.3 is not"),
+    ([0.3, 0.3, 0.3], "time step 0.0 is not"),
+    ([0.0, 6e307, 1.2e308, 0.0], "end past the largest float"),  # t0 + 3 * 6e307
+])
+def test_an_unusable_time_grid_is_a_format_error(tmp_path, times, problem):
+    # a batch's model is published at its end time, which must be a finite
+    # time after its start
+    path = tmp_path / "steps.csv"
+    path.write_text("time,a\n" + "".join(f"{t!r},1.0\n" for t in times), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        with pytest.raises(CsvFormatError, match=re.escape(problem)):
+            read_csv(path)
 
 
 def test_batch_rejects_nonfinite_rows():
@@ -231,7 +251,14 @@ def read_csv_text_mode(path):
         t = rows[:, names.index(TIME_COLUMN)]
         t0 = float(t[0])
         if len(t) >= 2:
-            dt = float(np.median(np.diff(t)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dt = float(np.median(np.diff(t)))
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise CsvFormatError(f"{path.name}: time step {dt!r} is not a positive "
+                                     "finite number")
+            if not math.isfinite(t0 + (len(t) - 1) * dt):
+                raise CsvFormatError(f"{path.name}: {len(t)} rows at time step {dt!r} "
+                                     f"from {t0!r} end past the largest float")
     return TimeSeriesBatch(variable_names=names, t0=t0, dt=dt, rows=rows)
 
 
