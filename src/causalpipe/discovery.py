@@ -611,16 +611,16 @@ class PoolWatcher:
             student_t_cdf()
 
     @property
-    def analysing(self) -> bool:
-        """Whether a batch handed over by step() is not finished yet."""
-        return self._analysis is not None
-
-    @property
     def analysis(self) -> Future | None:
         """The future of the batch that step() handed over and that is not
         finished yet; it is done once the batch's `discover` has returned or
         raised."""
         return None if self._analysis is None else self._analysis[2]
+
+    @property
+    def analysing(self) -> bool:
+        """Whether a batch handed over by step() is not finished yet."""
+        return self.analysis is not None
 
     def _pending(self) -> list[Path]:
         # one listdir, and a stat only for the names that could be batches:

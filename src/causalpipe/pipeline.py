@@ -2,13 +2,21 @@
 
 Collection and discovery run in two processes, as ROS-Causal's collection
 and discovery nodes do. `run_pipeline` starts one child process, the
-generator, from an explicit `fork` context (where fork is missing, `spawn`
-runs the same module-level target). The child builds its own bus, Simulator
-and Collector, and one simulated clock drives the two in lockstep, writing
-CSV batches into the pool. Over a one-way pipe it reports each CSV that
-landed, with the time it landed (right after its atomic rename), its log
-records at WARNING and above, which the calling process re-emits once, and
-at the end its sample counts and loop time.
+generator, from the `forkserver` context: the first run of a process starts
+a server, a fresh interpreter that imports this module once, and every
+generator is forked from that server. So the generator shares no page with
+the calling process and inherits none of its threads, and it starts in a
+few milliseconds with every module loaded. Where there is no fork server,
+`spawn` runs the same module-level target. The child builds its own bus,
+Simulator and Collector, and one simulated clock drives the two in lockstep,
+writing CSV batches into the pool. Over a one-way pipe it reports each CSV
+that landed, with the time it landed (right after its atomic rename), its
+log records at WARNING and above, which the calling process re-emits once,
+and at the end its sample counts and loop time. The child runs the code its
+server imported: a patch made in the calling process does not reach it, but
+the config it is given does. As with any start method but fork, the child
+imports the caller's main script, so a script that calls `run_pipeline`
+must do so under `if __name__ == "__main__":`.
 
 The calling process keeps the model topic, the pool watcher, the model
 files and the manifest. Its loop blocks until the generator reports or the
@@ -16,14 +24,12 @@ batch in analysis ends, then steps the watcher (PoolWatcher.step): it does
 every pool file operation itself, and the watcher's analysis thread only
 runs `discover`. So collection never waits on analysis, and analysis never
 waits for the generator's interpreter lock: the calling process runs no
-thread beside the generator. The generator is started before the watcher's
-first step, so this run has started no thread when it forks; the first step
-waits for the generator's Collector, which numbers its batches past any
-backlog an earlier run left in the pool. When the generator ends, `drain()`
-runs the backlog through the same step(), waiting for each batch; a quiet
-abort only finishes the batch in analysis. A generator that raises or dies
-fails the run with a GeneratorError once the watcher is stopped; it is
-always joined.
+thread beside the generator. The first step waits for the generator's
+Collector, which numbers its batches past any backlog an earlier run left
+in the pool. When the generator ends, `drain()` runs the backlog through
+the same step(), waiting for each batch; a quiet abort only finishes the
+batch in analysis. A generator that raises or dies fails the run with a
+GeneratorError once the watcher is stopped; it is always joined.
 
 Every completed batch yields a JSON and a DOT model file in the output
 directory, and the run ends with a manifest (config echo, seed, per-batch
@@ -41,13 +47,13 @@ model file was written with, not read back from disk.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
 import logging
 import os
 import sys
-import threading
 import time as time_mod
 import traceback
 from dataclasses import dataclass, field
@@ -132,8 +138,7 @@ def _generate(config: ScenarioConfig, report: Connection) -> None:
     the pool, reporting over `report` ("ready" once its Collector is built,
     then ("landed", csv name, perf_counter) for each CSV, ("log", record),
     and ("done", summary) or ("failed", traceback text))."""
-    # the package's records go to the calling process only, never to
-    # handlers a fork copied from it
+    # the package's records go to the calling process only
     package_log = logging.getLogger(__package__)
     package_log.handlers = [_ForwardRecords(report)]
     package_log.propagate = False
@@ -188,8 +193,6 @@ class _AnalysisWaker:
 
         self.readable, self._writable = multiprocessing.Pipe(duplex=False)
         self._watched = None
-        self._lock = threading.Lock()  # the analysis thread never writes to a closed pipe
-        self._closed = False
 
     def watch(self, watcher: PoolWatcher) -> None:
         future = watcher.analysis
@@ -198,15 +201,11 @@ class _AnalysisWaker:
             future.add_done_callback(self._wake)  # runs at once if already done
 
     def _wake(self, _future) -> None:
-        with self._lock:
-            if not self._closed:
-                self._writable.send_bytes(b"")
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._writable.close()
-        self.readable.close()
+        # A future runs its callbacks after it has woken its waiters, so this
+        # may come after the run closed `readable`: then nothing reads it.
+        # The write end stays open until the callback is gone with its future.
+        with contextlib.suppress(BrokenPipeError):
+            self._writable.send_bytes(b"")
 
 
 def _reemit(record: logging.LogRecord) -> None:
@@ -215,54 +214,71 @@ def _reemit(record: logging.LogRecord) -> None:
         logger.handle(record)
 
 
-def _follow(reports: Connection, watcher: PoolWatcher, landed: dict[str, float]) -> dict:
+def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
+            landed: dict[str, float]) -> dict:
     """Step the watcher whenever the generator reports or the batch in
     analysis ends, until the generator's summary arrives; returns it."""
     from multiprocessing.connection import wait
 
-    waker = _AnalysisWaker()
-    try:
-        while True:
-            ready = wait([reports, waker.readable])
-            step = waker.readable in ready
-            if step:
-                waker.readable.recv_bytes()
-            summary = None
-            while summary is None and reports.poll():
-                try:
-                    kind, *body = reports.recv()
-                except (EOFError, OSError):
-                    raise GeneratorError("the generator process died before it "
-                                         "finished its run") from None
-                if kind == "landed":
-                    name, at = body
-                    landed[name] = at
-                    step = True
-                elif kind == "log":
-                    _reemit(body[0])
-                elif kind == "ready":
-                    step = True
-                elif kind == "done":
-                    summary = body[0]
-                else:
-                    raise GeneratorError(f"the generator process raised:\n{body[0]}")
-            if step:
-                watcher.step()
-                waker.watch(watcher)
-            if summary is not None:
-                return summary
-    finally:
-        waker.close()
+    while True:
+        ready = wait([reports, waker.readable])
+        step = waker.readable in ready
+        if step:
+            waker.readable.recv_bytes()
+        summary = None
+        while summary is None and reports.poll():
+            try:
+                kind, *body = reports.recv()
+            except (EOFError, OSError):
+                raise GeneratorError("the generator process died before it "
+                                     "finished its run") from None
+            if kind == "landed":
+                name, at = body
+                landed[name] = at
+                step = True
+            elif kind == "log":
+                _reemit(body[0])
+            elif kind == "ready":
+                step = True
+            elif kind == "done":
+                summary = body[0]
+            else:
+                raise GeneratorError(f"the generator process raised:\n{body[0]}")
+        if step:
+            watcher.step()
+            waker.watch(watcher)
+        if summary is not None:
+            return summary
 
 
 def _process_context():
-    """fork where the platform has it: the generator starts in about a
-    millisecond, with every module loaded. Elsewhere spawn, which imports
-    this module afresh to run the same target."""
-    import multiprocessing
+    """The fork server where the platform has one, started if it is not
+    running; elsewhere spawn, which imports this module afresh for each
+    generator.
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    return multiprocessing.get_context(method)
+    The server preloads this module (after `__main__`, the context's
+    default), so each generator is forked with the package loaded. It is a
+    fresh interpreter and is not given this process's sys.path (Python
+    3.11 drops it), so the sys.path goes in PYTHONPATH while the server
+    starts; a server that could not import the package would leave every
+    generator to import it, some 150 ms a run. A server another caller
+    started without this preload is used as it is."""
+    import multiprocessing
+    from multiprocessing import forkserver
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    forkserver.set_forkserver_preload(["__main__", __name__])
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+    return multiprocessing.get_context("forkserver")
 
 
 def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineResult:
@@ -319,8 +335,9 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     generator.start()
     # the generator now holds the only write end: its exit reads as EOF here
     report_end.close()
+    waker = _AnalysisWaker()
     try:
-        summary = _follow(reports, watcher, landed)
+        summary = _follow(reports, waker, watcher, landed)
     except BaseException:
         generator.terminate()
         watcher.stop()
@@ -330,6 +347,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     finally:
         generator.join()
         reports.close()
+        waker.readable.close()
 
     result.csv_files_written = summary["csv_files_written"]
     result.quarantined = watcher.quarantined

@@ -5,6 +5,7 @@ every child is joined."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -18,13 +19,8 @@ from causalpipe import pipeline
 from causalpipe.config import default_config
 from causalpipe.discovery import PoolWatcher
 from causalpipe.pipeline import GeneratorError, run_pipeline
-from causalpipe.postprocess import resolve_postprocessor
-from causalpipe.sim import Simulator
-
-# The failure tests patch the generator's code in this process: only a
-# forked child inherits the patch.
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the child inherits patches only through fork")
+from causalpipe.postprocess import RiskParams
+from causalpipe.sim import SIM_DT, SFMParams
 
 
 def small_config(tmp_path, seed=5):
@@ -35,17 +31,60 @@ def small_config(tmp_path, seed=5):
     return cfg
 
 
-def fail_at_step(monkeypatch, n, fail):
-    """Make the generator's Simulator.step call `fail()` on its n-th call."""
-    step, calls = Simulator.step, [0]
+# The faults reach the generator with its config: it runs the code its fork
+# server imported, so a patch made in this process would not reach it. The
+# child imports this module to unpickle them, and counts reads in counters of
+# its own; the process that built a fault never fails on it.
 
-    def failing(self, dt):
-        calls[0] += 1
-        if calls[0] == n:
-            fail()
-        return step(self, dt)
+_reads = {"goal_radius": itertools.count(1), "epsilon": itertools.count(1)}
 
-    monkeypatch.setattr(Simulator, "step", failing)
+
+def _count_read(params, name: str) -> None:
+    get = object.__getattribute__
+    if os.getpid() != get(params, "built_in") and next(_reads[name]) == get(params, "fault_at"):
+        if get(params, "fault") == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError(f"injected {get(params, 'fault')} failure")
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultySFM(SFMParams):
+    """Fails on the n-th read of `goal_radius`: the simulator reads it once
+    a step, so on the generator's n-th step."""
+
+    fault_at: int = 0
+    fault: str = "step"
+    built_in: int = dataclasses.field(default_factory=os.getpid)
+
+    def __getattribute__(self, name):
+        if name == "goal_radius":
+            _count_read(self, name)
+        return super().__getattribute__(name)
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultyRisk(RiskParams):
+    """Fails on the n-th read of `epsilon`: the hri_basic postprocessor reads
+    it twice a sample, so in the batch holding that sample."""
+
+    fault_at: int = 0
+    fault: str = "postprocessor"
+    built_in: int = dataclasses.field(default_factory=os.getpid)
+
+    def __getattribute__(self, name):
+        if name == "epsilon":
+            _count_read(self, name)
+        return super().__getattribute__(name)
+
+
+def failing_at_step(tmp_path, step, fault):
+    cfg = small_config(tmp_path)
+    cfg.sfm = FaultySFM(fault_at=step, fault=fault)
+    return cfg
+
+
+# after the first batch (24 s) landed and before the second
+MID_RUN = round(35.0 / SIM_DT)
 
 
 def count_stops(monkeypatch):
@@ -64,48 +103,29 @@ def test_a_run_joins_its_generator_and_reports_it(tmp_path):
     assert (manifest["csv_files_written"], manifest["models_published"]) == (3, 3)
 
 
-@needs_fork
 def test_a_generator_that_raises_fails_the_run_with_its_error(tmp_path, monkeypatch):
-    def fail():
-        raise RuntimeError("injected step failure")
-
-    fail_at_step(monkeypatch, 700, fail)  # after the first batch landed
     stops = count_stops(monkeypatch)
     with pytest.raises(GeneratorError, match="injected step failure"):
-        run_pipeline(small_config(tmp_path))
+        run_pipeline(failing_at_step(tmp_path, MID_RUN, "step"))
     assert len(stops) == 1
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
 def test_a_killed_generator_fails_the_run_within_seconds(tmp_path, monkeypatch):
-    fail_at_step(monkeypatch, 700, lambda: os.kill(os.getpid(), signal.SIGKILL))
     stops = count_stops(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(GeneratorError, match="died"):
-        run_pipeline(small_config(tmp_path))
+        run_pipeline(failing_at_step(tmp_path, MID_RUN, "kill"))
     assert time.perf_counter() - start < 10.0
     assert len(stops) == 1
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
-def test_a_postprocessor_failure_is_logged_once_in_the_calling_process(tmp_path,
-                                                                       monkeypatch, caplog):
-    def flaky(name, risk):
-        postprocess, calls = resolve_postprocessor(name, risk), [0]
-
-        def once_failing(samples):
-            calls[0] += 1
-            if calls[0] == 1:
-                raise RuntimeError("injected postprocessor failure")
-            return postprocess(samples)
-
-        return once_failing
-
-    monkeypatch.setattr(pipeline, "resolve_postprocessor", flaky)
+def test_a_postprocessor_failure_is_logged_once_in_the_calling_process(tmp_path, caplog):
+    cfg = small_config(tmp_path)
+    cfg.risk = FaultyRisk(fault_at=1)
     with caplog.at_level(logging.WARNING):
-        result = run_pipeline(small_config(tmp_path))
+        result = run_pipeline(cfg)
     failed = [r for r in caplog.records if "postprocessor failed" in r.getMessage()]
     assert len(failed) == 1
     assert failed[0].name == "causalpipe.collector"
@@ -115,15 +135,27 @@ def test_a_postprocessor_failure_is_logged_once_in_the_calling_process(tmp_path,
     assert multiprocessing.active_children() == []
 
 
-def test_a_spawned_generator_writes_the_models_a_forked_one_does(tmp_path, monkeypatch):
+def test_the_generator_is_forked_from_a_server(tmp_path):
+    # it shares no page with the calling process and inherits none of its
+    # threads
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork server on this platform")
+    python_path = os.environ.get("PYTHONPATH")
+    assert pipeline._process_context().get_start_method() == "forkserver"
+    run_pipeline(small_config(tmp_path))
+    assert os.environ.get("PYTHONPATH") == python_path  # handed to the server only
+    assert multiprocessing.active_children() == []
+
+
+def test_a_spawned_generator_writes_the_models_a_served_one_does(tmp_path, monkeypatch):
     def digests(out):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.glob("model_*"))}
 
-    forked = run_pipeline(small_config(tmp_path / "fork"))
+    served = run_pipeline(small_config(tmp_path / "served"))
     monkeypatch.setattr(pipeline, "_process_context",
                         lambda: multiprocessing.get_context("spawn"))
     spawned = run_pipeline(small_config(tmp_path / "spawn"))
     assert len(digests(spawned.output_dir)) == 6
-    assert digests(spawned.output_dir) == digests(forked.output_dir)
+    assert digests(spawned.output_dir) == digests(served.output_dir)
     assert multiprocessing.active_children() == []
