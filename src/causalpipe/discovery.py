@@ -44,7 +44,8 @@ A PoolWatcher reproduces the batch worker: it scans a pool directory, always
 analyses the oldest CSV first, publishes the resulting model on the bus, and
 deletes the file afterwards (corrupt files are quarantined, never silently
 dropped). A watcher is driven from one thread, which does every pool file
-operation; its analysis thread only runs `discover`.
+operation; its analysis thread only runs `discover`, and so pays SciPy's
+import in the first parcorr batch of a process.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .bus import MessageBus
 from .collector import batch_id_for
 from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
                     ResidualCache, TEParams, kridge_dcor_test, parcorr_test,
-                    student_t_cdf, te_significance)
+                    te_significance)
 from .timeseries import TimeSeriesBatch, read_csv, write_atomic
 
 log = logging.getLogger(__name__)
@@ -211,9 +212,9 @@ def _pooled(params: DiscoveryParams) -> bool:
     """Whether the CI tests of a batch go to the pool.
 
     A kernel-ridge / dCor test takes tens of milliseconds, mostly in numpy
-    code that releases the interpreter lock. A parcorr test takes about
-    0.1 ms, less than a hand-off to a worker costs while another thread (the
-    simulator, in a running pipeline) holds the lock, so those run inline.
+    code that releases the interpreter lock, so tests on two workers
+    overlap. A parcorr test takes about 0.1 ms, less than handing it to a
+    worker and taking its result back costs, so those run inline.
     """
     return params.ci_test == "kridge_dcor"
 
@@ -605,10 +606,6 @@ class PoolWatcher:
         # its one thread starts on the first step() and ends with the watcher
         self._analyst = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pool-analysis")
         self._analysis: tuple[Path, TimeSeriesBatch, Future] | None = None
-        if params.ci_test == "parcorr":
-            # Import SciPy here, on the driving thread: on the analysis thread
-            # the first batch would wait for the import.
-            student_t_cdf()
 
     @property
     def analysis(self) -> Future | None:
@@ -623,11 +620,7 @@ class PoolWatcher:
         return self.analysis is not None
 
     def _pending(self) -> list[Path]:
-        # one listdir, and a stat only for the names that could be batches:
-        # each system call drops the interpreter lock
-        names = sorted(n for n in os.listdir(self.pool_dir)
-                       if n.endswith(".csv") and n != ".csv")  # as Path.suffix
-        return [p for p in (self.pool_dir / n for n in names) if p.is_file()]
+        return sorted(p for p in self.pool_dir.iterdir() if p.suffix == ".csv" and p.is_file())
 
     def _quarantine(self, path: Path) -> None:
         if not path.exists():

@@ -16,7 +16,8 @@ and at the end its sample counts and loop time. The child runs the code its
 server imported: a patch made in the calling process does not reach it, but
 the config it is given does. As with any start method but fork, the child
 imports the caller's main script, so a script that calls `run_pipeline`
-must do so under `if __name__ == "__main__":`.
+must do so under `if __name__ == "__main__":`, and must be a file: a script
+read from standard input fails the run before anything starts.
 
 The calling process keeps the model topic, the pool watcher, the model
 files and the manifest. Its loop blocks until the generator reports or the
@@ -281,15 +282,36 @@ def _process_context():
     return multiprocessing.get_context("forkserver")
 
 
+def _check_main_script() -> None:
+    """Raise GeneratorError if the generator could not import the caller's
+    main script: multiprocessing runs it by path in the child when
+    `__main__` has a `__file__` but no module name, and a script read from
+    standard input has no file to run."""
+    from multiprocessing import process
+
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is not None or path is None:
+        return
+    path = os.path.normpath(os.path.join(process.ORIGINAL_DIR or "", path))
+    if not os.path.isfile(path):
+        raise GeneratorError(f"the main script {path} is not a file: the generator "
+                             "process must be able to import it, so run_pipeline needs "
+                             "a main script in a file or a module")
+
+
 def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineResult:
     """Run the full scenario described by `config`.
 
     With drain_pool=False the backlog left at shutdown is abandoned (quiet
-    abort). Raises GeneratorError when the generator process raises or dies.
+    abort). Raises GeneratorError, before anything is built or started, when
+    the generator process could not import the caller's main script (one
+    read from standard input), and when the generator raises or dies.
     """
     problems = validate(config)
     if problems:
         raise ConfigError(problems)
+    _check_main_script()
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,6 +23,7 @@ from .state import AgentState, Pose2D, StateMerger, Velocity2D, normalize_angle
 
 SIM_DT = 0.05
 DEFAULT_MIN_GOAL_DIST = 3.0
+HUMAN_START = (5.0, 2.0)  # the pedestrian's start [m]
 BODY_RADIUS = 0.3  # of both agents [m]
 
 
@@ -191,13 +192,10 @@ class Simulator:
 
     def __init__(self, sfm: SFMParams = SFMParams(), path: RobotPath = RobotPath(),
                  bounds: Bounds = DEFAULT_BOUNDS, seed: int = 0,
-                 bus: MessageBus | None = None,
-                 human_start: tuple[float, float] = (5.0, 2.0),
-                 min_goal_dist: float = DEFAULT_MIN_GOAL_DIST):
+                 bus: MessageBus | None = None):
         self.sfm = sfm
         self.path = path
         self.bounds = bounds
-        self.min_goal_dist = min_goal_dist
         self._human_merger = StateMerger.for_human(bus=bus, body_radius=BODY_RADIUS)
         self._robot_merger = StateMerger.for_robot(bus=bus, body_radius=BODY_RADIUS)
         self._waypoint_index = 1
@@ -205,10 +203,10 @@ class Simulator:
         self._paused_until = -1.0
 
         rng = np.random.default_rng(seed)
-        goal = sample_goal(rng, bounds, human_start, min_goal_dist)
+        goal = sample_goal(rng, bounds, HUMAN_START)
         human = AgentState(
             agent_id="human", stamp=0.0,
-            pose=Pose2D(human_start[0], human_start[1], 0.0),
+            pose=Pose2D(HUMAN_START[0], HUMAN_START[1], 0.0),
             velocity=Velocity2D(0.0, 0.0, 0.0),
             goal=goal, body_radius=BODY_RADIUS,
         )
@@ -256,12 +254,7 @@ class Simulator:
         fx = ax + rx
         fy = ay + ry
         if sfm.noise_accel > 0:
-            # Two scalar draws give the same doubles and generator state as
-            # one standard_normal(2). A sized draw drops and retakes the
-            # interpreter lock, and doing that every step keeps a waiting
-            # thread (the pool watcher) from ever getting it.
-            nx = w.rng.standard_normal()
-            ny = w.rng.standard_normal()
+            nx, ny = w.rng.standard_normal(2).tolist()
             fx = fx + sfm.noise_accel * nx
             fy = fy + sfm.noise_accel * ny
         vx = vx + fx * dt
@@ -278,7 +271,7 @@ class Simulator:
         omega = normalize_angle(theta - h.pose.theta) / dt
         goal = h.goal
         if math.hypot(goal[0] - x, goal[1] - y) <= sfm.goal_radius:
-            goal = sample_goal(w.rng, w.bounds, (x, y), self.min_goal_dist)
+            goal = sample_goal(w.rng, w.bounds, (x, y))
         return self._human_merger.merge(Pose2D(x, y, theta), Velocity2D(vx, vy, omega),
                                         goal, w.time + dt)
 

@@ -10,10 +10,10 @@ Two conditional-independence tests are provided:
 parcorr_test takes its two-sided tail from scipy.special.stdtr, the Student-t
 CDF that scipy.stats.t.sf wraps: t.sf(x, df) is stdtr(df, -x) for a finite x
 with loc 0 and scale 1, so the p-value has the same bits. It is the only SciPy
-function the package uses, and student_t_cdf() imports it on first use, so a
-program that never runs parcorr never loads SciPy (its import is most of the
-package's start-up time and about 20 MB). A PoolWatcher for parcorr calls it
-when it is built, so the import never lands on its analysis thread mid-stream.
+function the package uses, and parcorr_test imports it where it needs it, so
+a program that never runs parcorr never loads SciPy (its import is most of
+the package's start-up time and about 20 MB), and the first parcorr test of
+a process pays the import, a few tenths of a second.
 
 kridge_dcor_test plays the role of a GPDC-style test: the kernel ridge fit is
 the Gaussian-process posterior mean under fixed hyperparameters, which keeps
@@ -206,15 +206,6 @@ _P_FLOOR = float(np.nextafter(0.0, 1.0))
 _COLLAPSED = 1e-12
 
 
-def student_t_cdf():
-    """scipy.special.stdtr, the Student-t CDF stdtr(df, t), imported on the
-    first call. The import takes a few tenths of a second: a thread that
-    must not stall mid-stream calls this beforehand."""
-    from scipy.special import stdtr
-
-    return stdtr
-
-
 def parcorr_test(x, y, Z=(), cache: ResidualCache | None = None,
                  keys: tuple | None = None) -> CITestResult:
     """Linear partial-correlation CI test with a two-sided Student-t p-value.
@@ -253,8 +244,10 @@ def parcorr_test(x, y, Z=(), cache: ResidualCache | None = None,
     if 1.0 - r * r < 1e-15:
         p = _P_FLOOR
     else:
+        from scipy.special import stdtr  # the first call pays SciPy's import
+
         t = r * math.sqrt(dof / (1.0 - r * r))
-        p = max(float(2.0 * student_t_cdf()(dof, -abs(t))), _P_FLOOR)
+        p = max(float(2.0 * stdtr(dof, -abs(t))), _P_FLOOR)
     return CITestResult(statistic=r, p_value=p)
 
 

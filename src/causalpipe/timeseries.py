@@ -74,24 +74,13 @@ def write_atomic(path: str | Path, text: str) -> bytes:
     one, never a part; returns the bytes written. On failure the temp file is
     removed and the old file is untouched. The file gets the permissions a
     plain open() would give it (0o666 less the umask).
-
-    The text is encoded once and handed to os.write whole, with no buffered
-    file object around it: each system call releases the interpreter lock,
-    and with a busy thread beside it, taking the lock back can cost a whole
-    switch interval.
     """
     path = Path(path)
     data = text.encode("utf-8")
     tmp = path.with_name(f".tmp-{secrets.token_hex(8)}.part")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
-                     0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

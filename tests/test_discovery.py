@@ -799,6 +799,24 @@ def test_watcher_oldest_first_then_pool_empty(tmp_path):
     assert watcher.published == 3
 
 
+def test_watcher_takes_only_csv_files_in_name_order(tmp_path):
+    # batches are taken by name, not by creation; a directory, a file named
+    # only ".csv", a temp file mid-write and the quarantine are never taken
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    batches = [write_pool_file(pool, idx, seed=idx) for idx in (2, 0, 1)]
+    (pool / "x.csv").mkdir()
+    write_pool_file(pool, 3, seed=3).rename(pool / ".csv")
+    write_pool_file(pool, 4, seed=4).rename(pool / ".tmp-0123456789abcdef.part")
+    (pool / "quarantine").mkdir()
+    write_pool_file(pool, 5, seed=5).rename(pool / "quarantine" / "data_00005.csv")
+    left = sorted(set(pool.rglob("*")) - set(batches))
+    watcher = PoolWatcher(pool, PARCORR)
+    assert [m.batch_id for m in watcher.drain()] == ["0", "1", "2"]
+    assert (watcher.published, watcher.quarantined) == (3, 0)
+    assert sorted(pool.rglob("*")) == left
+
+
 def test_watcher_idles_on_empty_pool(tmp_path):
     pool = tmp_path / "pool"
     pool.mkdir()

@@ -11,8 +11,8 @@ import causalpipe
 # Every module of the package; `python -m causalpipe` guards its entry point.
 MODULES = sorted(f"causalpipe.{m.name}" for m in pkgutil.iter_modules(causalpipe.__path__))
 
-# Builds the default config's pipeline objects, then a parcorr watcher, and
-# prints the watcher's CI test and which SciPy modules are loaded after each.
+# Builds the default config's pipeline objects, then a parcorr watcher, then
+# runs one parcorr test, and prints which SciPy modules are loaded after each.
 BUILD = """
 import dataclasses, sys
 from pathlib import Path
@@ -23,6 +23,7 @@ from causalpipe.discovery import MODEL_TOPIC, CausalModel, PoolWatcher
 from causalpipe.postprocess import resolve_postprocessor
 from causalpipe.sim import Simulator
 from causalpipe.state import HUMAN_TOPIC, ROBOT_TOPIC, AgentState
+from causalpipe.stats import parcorr_test
 
 def loaded():
     return [m in sys.modules for m in ('scipy.stats', 'scipy.special')]
@@ -40,14 +41,16 @@ print(cfg.discovery.ci_test, *loaded())
 parcorr = dataclasses.replace(cfg.discovery, ci_test='parcorr', method='pcmci')
 PoolWatcher(cfg.collector.pool_dir, parcorr, cfg.te, bus=bus)
 print(parcorr.ci_test, *loaded())
+parcorr_test([0.0, 1.0, 3.0, 2.0], [1.0, 0.0, 2.0, 4.0])
+print('parcorr_test', *loaded())
 """
 
 
 @pytest.fixture(scope="module")
 def scipy_loaded(tmp_path_factory):
-    """{ci_test: (scipy.stats loaded, scipy.special loaded)} after building
-    each watcher, in a fresh interpreter: this one has scipy loaded by other
-    tests."""
+    """{step: (scipy.stats loaded, scipy.special loaded)} after building
+    each watcher (the step is its CI test) and after the first parcorr test,
+    in a fresh interpreter: this one has scipy loaded by other tests."""
     src = str(Path(causalpipe.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = "\n".join(f"import {m}" for m in MODULES) + BUILD
@@ -57,14 +60,16 @@ def scipy_loaded(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     assert "causalpipe.stats" in MODULES and "causalpipe.cli" in MODULES
     rows = [line.split() for line in proc.stdout.splitlines()]
-    return {ci_test: tuple(flag == "True" for flag in flags) for ci_test, *flags in rows}
+    return {step: tuple(flag == "True" for flag in flags) for step, *flags in rows}
 
 
 def test_the_package_does_not_import_scipy_stats(scipy_loaded):
     assert scipy_loaded["kridge_dcor"][0] is False
     assert scipy_loaded["parcorr"][0] is False
+    assert scipy_loaded["parcorr_test"][0] is False
 
 
-def test_scipy_special_loads_only_for_a_parcorr_watcher(scipy_loaded):
+def test_scipy_special_loads_on_the_first_parcorr_test(scipy_loaded):
     assert scipy_loaded["kridge_dcor"][1] is False
-    assert scipy_loaded["parcorr"][1] is True
+    assert scipy_loaded["parcorr"][1] is False
+    assert scipy_loaded["parcorr_test"][1] is True

@@ -11,7 +11,10 @@ import logging
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +162,34 @@ def test_a_spawned_generator_writes_the_models_a_served_one_does(tmp_path, monke
     assert len(digests(spawned.output_dir)) == 6
     assert digests(spawned.output_dir) == digests(served.output_dir)
     assert multiprocessing.active_children() == []
+
+
+# A guarded script that runs a small pipeline into sys.argv[1].
+GUARDED_SCRIPT = """
+import dataclasses, sys
+from causalpipe.config import default_config
+from causalpipe.pipeline import run_pipeline
+
+if __name__ == "__main__":
+    cfg = default_config(sys.argv[1])
+    cfg.duration = 24.0
+    cfg.collector = dataclasses.replace(cfg.collector, batch_seconds=24.0)
+    cfg.discovery = dataclasses.replace(cfg.discovery, ci_test="parcorr", method="pcmci")
+    run_pipeline(cfg)
+"""
+
+
+def test_a_main_script_read_from_stdin_fails_before_anything_starts(tmp_path):
+    # the generator would have to import the script, which has no file
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-", str(out)], input=GUARDED_SCRIPT,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("causalpipe.pipeline.GeneratorError: the main script ")
+    assert f"{tmp_path.resolve() / '<stdin>'} is not a file" in last
+    assert "must be able to import it" in last
+    assert not out.exists()

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
 from causalpipe.postprocess import human_speed
-from causalpipe.sim import (DEFAULT_BOUNDS, Bounds, GoalSamplingError, RobotPath,
-                            SFMParams, SIM_DT, Simulator, _clamp_to_bounds,
+from causalpipe.sim import (DEFAULT_BOUNDS, DEFAULT_MIN_GOAL_DIST, Bounds, GoalSamplingError,
+                            RobotPath, SFMParams, SIM_DT, Simulator, _clamp_to_bounds,
                             agent_repulsion_force, goal_attraction_force, sample_goal)
 from causalpipe.state import (AgentState, HUMAN_TOPIC, Pose2D, ROBOT_TOPIC, Velocity2D,
                               normalize_angle)
@@ -136,7 +136,7 @@ def human_step_reference(sim, rng, dt):
     omega = normalize_angle(theta - h.pose.theta) / dt
     goal = h.goal
     if math.hypot(goal[0] - x, goal[1] - y) <= sfm.goal_radius:
-        goal = sample_goal(rng, w.bounds, (x, y), sim.min_goal_dist)
+        goal = sample_goal(rng, w.bounds, (x, y), DEFAULT_MIN_GOAL_DIST)
     return Pose2D(x, y, theta), Velocity2D(vx, vy, omega), goal, paused_until
 
 
@@ -194,39 +194,6 @@ def test_human_steps_equal_the_vector_form_over_a_long_run():
     assert len(goals) > 2
 
 
-# Where each draw the simulator makes takes its `size`, by position.
-SIZE_POSITION = {"random": 0, "standard_normal": 0, "uniform": 2}
-
-
-class RecordingRng:
-    """A Generator whose draws are recorded as (method, args, kwargs)."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.draws = []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def record(*args, **kwargs):
-            self.draws.append((name, args, kwargs))
-            return method(*args, **kwargs)
-        return record
-
-
-def test_no_draw_during_a_step_passes_a_size():
-    # a sized draw releases the interpreter lock; the simulator draws scalars
-    config = default_config()
-    sim = Simulator(sfm=config.sfm, path=config.robot_path, seed=config.seed)
-    rng = sim.world.rng = RecordingRng(sim.world.rng)
-    for _ in range(6000):
-        sim.step(SIM_DT)
-    assert {name for name, _, _ in rng.draws} == set(SIZE_POSITION)  # every kind was made
-    sized = [(name, args, kwargs) for name, args, kwargs in rng.draws
-             if "size" in kwargs or len(args) > SIZE_POSITION[name]]
-    assert sized == []
-
-
 # --- stepping ------------------------------------------------------------------
 
 def test_speed_ramps_to_desired_speed_within_five_seconds():
@@ -234,8 +201,7 @@ def test_speed_ramps_to_desired_speed_within_five_seconds():
     # cross-checked against a fine-step reference integration of the ODE
     sfm = QUIET
     path = RobotPath(waypoints=((100.0, 100.0), (101.0, 100.0)))
-    sim = Simulator(sfm=sfm, path=path, bounds=Bounds(0, 0, 1000, 1000), seed=0,
-                    human_start=(5.0, 5.0), min_goal_dist=3.0)
+    sim = Simulator(sfm=sfm, path=path, bounds=Bounds(0, 0, 1000, 1000), seed=0)
     sim.world.human = agent(x=5.0, y=5.0, goal=(900.0, 5.0))
     for _ in range(100):  # 5 s at 0.05
         sim.step(SIM_DT)
@@ -265,7 +231,7 @@ def test_human_avoids_robot_blocking_the_line():
     # robot parked between human and goal: trajectory must deviate laterally
     sfm = SFMParams()  # default noise breaks the symmetric standoff
     path = RobotPath(waypoints=((5.0, 5.0), (5.0, 5.01)), cruise_speed=1e-6)
-    sim = Simulator(sfm=sfm, path=path, seed=3, human_start=(1.0, 5.0))
+    sim = Simulator(sfm=sfm, path=path, seed=3)
     sim.world.human = agent(x=1.0, y=5.0, goal=(9.0, 5.0))
     R = 0.3 + 0.3 + sfm.clearance_margin
     max_lateral = 0.0

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from causalpipe import timeseries
 from causalpipe.timeseries import (TIME_COLUMN, CsvFormatError, TimeSeriesBatch, read_csv,
                                    write_atomic, write_csv)
 
@@ -207,7 +209,15 @@ def test_failed_atomic_write_leaves_no_part_file(tmp_path, monkeypatch, failing)
     def fail(*args):
         raise OSError("injected")
 
-    monkeypatch.setattr(os, failing, fail)
+    class FailingWriter(io.BufferedWriter):
+        write = fail
+
+    if failing == "write":
+        # the temp file is created, then writing to it fails
+        monkeypatch.setattr(timeseries, "open", raising=False,
+                            value=lambda file, mode: FailingWriter(io.FileIO(file, mode)))
+    else:
+        monkeypatch.setattr(os, failing, fail)
     with pytest.raises(OSError, match="injected"):
         write_atomic(target, NON_ASCII)
     monkeypatch.undo()
