@@ -41,6 +41,7 @@ BENCH_METHODS = {
     "pcmci-kridge": ("kridge_dcor", "pcmci"),
     "fpcmci": ("kridge_dcor", "fpcmci"),
 }
+BENCH_KEYS = ("specs", "methods", "seeds", "seed", "discovery")
 
 
 def _add_discovery_flags(parser: argparse.ArgumentParser) -> None:
@@ -144,10 +145,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         print(f"error: {problem}: {args.csv}", file=sys.stderr)
         return EXIT_VALIDATION
     config = _load_config(args)
-    try:
-        json_path, dot_path = discover_csv(args.csv, config.discovery, config.te, args.out)
-    except UnicodeDecodeError as exc:  # from read_csv, as from a text-mode reader
-        raise CsvFormatError(f"{args.csv.name}: not UTF-8 text: {exc}") from None
+    json_path, dot_path = discover_csv(args.csv, config.discovery, config.te, args.out)
     if not args.quiet:
         print(f"model written: {json_path}")
         print(f"graph written: {dot_path}")
@@ -159,18 +157,15 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError([f"bench config {path} must be a JSON object, got "
                            f"{json_kind(payload)}"])
-    problems = []
+    problems = [f"unknown bench config key {k!r}" for k in payload if k not in BENCH_KEYS]
     raw_specs = payload.get("specs", [])
     if not isinstance(raw_specs, list):
         problems.append(f"specs must be a JSON array, got {json_kind(raw_specs)}")
         raw_specs = []
-    overrides = payload.get("discovery", {})
-    if isinstance(overrides, dict):
-        overrides = {"tau_min": 1, "tau_max": 1, **overrides}
     base_seed = payload.get("seed", 0) if seed_override is None else seed_override
     built, more = fields_from_json({
         **{f"specs[{i}]": (scm_bench.SCMSpec, raw) for i, raw in enumerate(raw_specs)},
-        "seed": (int, base_seed), "discovery": (DiscoveryParams, overrides)})
+        "seed": (int, base_seed), "discovery": (DiscoveryParams, payload.get("discovery", {}))})
     problems += more
     specs = [value for name, value in built.items() if name.startswith("specs[")]
     if not specs:

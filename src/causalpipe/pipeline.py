@@ -73,6 +73,7 @@ from .timeseries import read_csv, write_atomic
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 # multiprocessing is imported when a run starts, not with this module: its
 # import (about 12 ms) would add to every start-up that never runs a pipeline
@@ -216,11 +217,12 @@ def _reemit(record: logging.LogRecord) -> None:
 
 
 def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
-            landed: dict[str, float]) -> dict:
+            landed: dict[str, float], generator: BaseProcess) -> dict:
     """Step the watcher whenever the generator reports or the batch in
     analysis ends, until the generator's summary arrives; returns it."""
     from multiprocessing.connection import wait
 
+    started = False  # the generator reported "ready"
     while True:
         ready = wait([reports, waker.readable])
         step = waker.readable in ready
@@ -231,8 +233,12 @@ def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
             try:
                 kind, *body = reports.recv()
             except (EOFError, OSError):
-                raise GeneratorError("the generator process died before it "
-                                     "finished its run") from None
+                generator.join()  # it closed its end of the pipe by exiting
+                raise GeneratorError(
+                    "the generator process died before it finished its run" if started else
+                    f"the generator process exited with code {generator.exitcode} before its "
+                    "run started (its error is on standard error): a main script that calls "
+                    'run_pipeline must do so under `if __name__ == "__main__":`') from None
             if kind == "landed":
                 name, at = body
                 landed[name] = at
@@ -240,7 +246,7 @@ def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
             elif kind == "log":
                 _reemit(body[0])
             elif kind == "ready":
-                step = True
+                started = step = True
             elif kind == "done":
                 summary = body[0]
             else:
@@ -347,7 +353,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus, on_model=on_model)
 
     # a backlog an earlier run left in the pool has waited since this run began
-    backlog = [name for name in os.listdir(pool_dir) if name.endswith(".csv")]
+    backlog = [path.name for path in watcher._pending()]
     started = time_mod.perf_counter()
     landed.update(dict.fromkeys(backlog, started))
     context = _process_context()
@@ -359,7 +365,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     report_end.close()
     waker = _AnalysisWaker()
     try:
-        summary = _follow(reports, waker, watcher, landed)
+        summary = _follow(reports, waker, watcher, landed, generator)
     except BaseException:
         generator.terminate()
         watcher.stop()
@@ -393,13 +399,11 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     return result
 
 
-def discover_csv(csv_path: str | Path, params, te_params, output_dir: str | Path,
-                 batch_id: str | None = None) -> tuple[Path, Path]:
+def discover_csv(csv_path: str | Path, params, te_params,
+                 output_dir: str | Path) -> tuple[Path, Path]:
     """Offline discovery on an existing CSV; the source file is kept."""
     csv_path = Path(csv_path)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    batch = read_csv(csv_path)
-    model = discover(batch, params, te_params,
-                     batch_id=batch_id if batch_id is not None else batch_id_for(csv_path))
+    model = discover(read_csv(csv_path), params, te_params, batch_id=batch_id_for(csv_path))
     return _export_pair(model, out_dir, f"{csv_path.stem}_model")[0]

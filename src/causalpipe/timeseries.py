@@ -97,7 +97,8 @@ def write_csv(batch: TimeSeriesBatch, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> TimeSeriesBatch:
-    """Parse a batch CSV; malformed input raises with the offending line.
+    """Parse a batch CSV; malformed input (not UTF-8, an empty or repeated
+    header name, a bad cell) raises CsvFormatError with the offending line.
 
     With a "time" column of two or more rows, the batch's dt is the median
     time step. A dt that is not a positive finite number (a column that does
@@ -109,12 +110,18 @@ def read_csv(path: str | Path) -> TimeSeriesBatch:
     # text mode would turn "\r\n" and "\r" into "\n" first; splitlines()
     # breaks at all three anyway, so the lines are the same, for fewer
     # system calls than a text wrapper's reads
-    raw_lines = path.read_bytes().decode("utf-8").splitlines()
+    try:
+        raw_lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from None
     if not raw_lines or not raw_lines[0].strip():
         raise CsvFormatError(f"{path.name}: missing header")
     names = [c.strip() for c in raw_lines[0].split(",")]
     if any(not n for n in names):
         raise CsvFormatError(f"{path.name}: line 1: empty header field")
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise CsvFormatError(f"{path.name}: line 1: duplicate header name {repeated!r}")
     n_vars = len(names)
     data: list[list[float]] = []
     for lineno, line in enumerate(raw_lines[1:], start=2):

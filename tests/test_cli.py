@@ -12,6 +12,7 @@ import pytest
 
 from causalpipe import cli, discovery
 from causalpipe.bus import MessageBus
+from causalpipe.config import ConfigError
 from causalpipe.discovery import MODEL_TOPIC, DiscoveryParams, PoolWatcher
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams
@@ -64,9 +65,10 @@ def test_manifest_digests_are_of_the_model_files_on_disk(tmp_path):
 
 def test_the_pool_is_scanned_only_when_a_csv_lands_or_a_batch_finishes(tmp_path,
                                                                        monkeypatch):
-    # 72 s of 0.05 s steps is 1,441 collector ticks and 3 batches: at most one
-    # scan at the start, one per landing, one per finished batch and one for
-    # the final drain, all on the thread that runs the pipeline
+    # 72 s of 0.05 s steps is 1,441 collector ticks and 3 batches: one scan
+    # to stamp the backlog, at most one at the start, one per landing, one per
+    # finished batch and one for the final drain, all on the thread that runs
+    # the pipeline
     scans = []
     pending = PoolWatcher._pending
 
@@ -79,7 +81,7 @@ def test_the_pool_is_scanned_only_when_a_csv_lands_or_a_batch_finishes(tmp_path,
     assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["csv_files_written"] == 3
-    assert 4 <= len(scans) <= 1 + 3 + 3 + 1, len(scans)
+    assert 5 <= len(scans) <= 1 + 1 + 3 + 3 + 1, len(scans)
     assert set(scans) == {threading.get_ident()}
 
 
@@ -246,6 +248,9 @@ def test_discover_missing_file_exits_nonzero(tmp_path, capsys):
     pytest.param("dir.csv", None, "not a file", id="directory"),
     pytest.param("latin1.csv", b"a,b\n1.0,\xe9\n", "latin1.csv: not UTF-8 text",
                  id="not-utf8"),
+    pytest.param("twice.csv", b"a,a\n" + b"".join(b"%d.5,%d.25\n" % (i % 7, i % 5)
+                                                   for i in range(200)),
+                 "twice.csv: line 1: duplicate header name 'a'", id="repeated-name"),
     pytest.param("header.csv", b"a,b\n", "0 usable rows", id="header-only"),
     pytest.param("short.csv",
                  b"a,b\n" + b"".join(b"%d.5,%d.25\n" % (i % 7, i % 5) for i in range(30)),
@@ -376,6 +381,17 @@ def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
     config.write_text(json.dumps(payload))
     assert cli.main(["bench", "--config", str(config), "--quiet"]) == cli.EXIT_VALIDATION
     assert problem in capsys.readouterr().err
+
+
+def test_bench_reports_every_unknown_key(tmp_path):
+    # misspelt keys used to be ignored: this ran all three methods over 10 seeds
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"specs": [{"n_vars": 2}], "method": ["nope"],
+                                  "seed_count": 3}))
+    with pytest.raises(ConfigError) as raised:
+        cli._parse_bench_config(config, None)
+    assert raised.value.problems == ["unknown bench config key 'method'",
+                                     "unknown bench config key 'seed_count'"]
 
 
 @pytest.mark.parametrize("section, field, value", [

@@ -179,17 +179,39 @@ if __name__ == "__main__":
 """
 
 
-def test_a_main_script_read_from_stdin_fails_before_anything_starts(tmp_path):
-    # the generator would have to import the script, which has no file
+def run_python(args, tmp_path, **kwargs):
+    """Run a fresh interpreter in tmp_path, with this package on its path."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_a_main_script_read_from_stdin_fails_before_anything_starts(tmp_path):
+    # the generator would have to import the script, which has no file
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-", str(out)], input=GUARDED_SCRIPT,
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(["-", str(out)], tmp_path, input=GUARDED_SCRIPT)
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("causalpipe.pipeline.GeneratorError: the main script ")
     assert f"{tmp_path.resolve() / '<stdin>'} is not a file" in last
     assert "must be able to import it" in last
     assert not out.exists()
+
+
+def test_an_unguarded_main_script_fails_the_run_naming_the_guard(tmp_path):
+    # the generator runs the script again, and the script's own run_pipeline
+    # call fails there before the generator reports "ready"
+    script = tmp_path / "unguarded.py"
+    script.write_text(GUARDED_SCRIPT.replace('if __name__ == "__main__":', "if True:"),
+                      encoding="utf-8")
+    proc = run_python([str(script), str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 1
+    assert "current process has finished its bootstrapping phase" in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == ("causalpipe.pipeline.GeneratorError: the generator process exited "
+                    "with code 1 before its run started (its error is on standard "
+                    "error): a main script that calls run_pipeline must do so under "
+                    '`if __name__ == "__main__":`')
+    assert not list((tmp_path / "out").glob("model_*"))

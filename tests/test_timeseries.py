@@ -226,15 +226,21 @@ def test_failed_atomic_write_leaves_no_part_file(tmp_path, monkeypatch, failing)
 
 
 def read_csv_text_mode(path):
-    """read_csv as it was when it read the file in text mode; the reference
-    for the lines that read_csv takes from the file's bytes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    """read_csv reading the file in text mode; the reference for the lines
+    that read_csv takes from the file's bytes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path.name}: not UTF-8 text: {exc}") from None
     if not raw_lines or not raw_lines[0].strip():
         raise CsvFormatError(f"{path.name}: missing header")
     names = [c.strip() for c in raw_lines[0].split(",")]
     if any(not n for n in names):
         raise CsvFormatError(f"{path.name}: line 1: empty header field")
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise CsvFormatError(f"{path.name}: line 1: duplicate header name {repeated!r}")
     data = []
     for lineno, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
@@ -276,7 +282,7 @@ def outcome(read, path):
     """What a reader makes of a file: its batch's exact contents, or its error."""
     try:
         batch = read(path)
-    except ValueError as exc:  # CsvFormatError, UnicodeDecodeError, bad batch
+    except ValueError as exc:  # CsvFormatError, bad batch
         return type(exc).__name__, str(exc)
     return (batch.variable_names, float(batch.t0).hex(), float(batch.dt).hex(),
             batch.rows.shape, [float(v).hex() for v in batch.rows.ravel()])
@@ -317,6 +323,7 @@ def csv_texts(draw):
 @given(text=csv_texts())
 @example(text="time,a\r\n0.0,1.0\r\n\r0.3,2.0\r\n")
 @example(text="time,a\r0.0,1.0\r\r\n0.3,2.0")
+@example(text="a,b,a\n1.0,2.0,3.0\n")
 def test_read_csv_reads_what_text_mode_reads(tmp_path, text):
     path = tmp_path / "batch.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -327,4 +334,13 @@ def test_read_csv_rejects_invalid_utf8_as_text_mode_does(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,b\n1.0,2.0\n\xe9,1.0\n")
     assert outcome(read_csv, path) == outcome(read_csv_text_mode, path)
-    assert outcome(read_csv, path)[0] == "UnicodeDecodeError"
+    kind, message = outcome(read_csv, path)
+    assert kind == "CsvFormatError"
+    assert message.startswith("latin1.csv: not UTF-8 text: 'utf-8' codec can't decode")
+
+
+def test_read_csv_names_a_repeated_header_name(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("time,a,b,a\n0.0,1.0,2.0,3.0\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="^twice.csv: line 1: duplicate header name 'a'$"):
+        read_csv(path)
