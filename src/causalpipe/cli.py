@@ -167,6 +167,11 @@ def _parse_bench_config(path: Path, seed_override: int | None) -> dict:
         **{f"specs[{i}]": (scm_bench.SCMSpec, raw) for i, raw in enumerate(raw_specs)},
         "seed": (int, base_seed), "discovery": (DiscoveryParams, payload.get("discovery", {}))})
     problems += more
+    problems += [f"specs[{i}]: seed is not read: each run's seed is the base seed plus "
+                 "the run's index" for i, raw in enumerate(raw_specs)
+                 if isinstance(raw, dict) and "seed" in raw]
+    if built.get("seed", 0) < 0:
+        problems.append(f"seed must be >= 0, got {base_seed}")
     specs = [value for name, value in built.items() if name.startswith("specs[")]
     if not specs:
         problems.append("no benchmark specs given")

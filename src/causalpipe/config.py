@@ -62,6 +62,8 @@ def default_config(output_dir: str | Path = "out", seed: int = 0) -> ScenarioCon
 def validate(config: ScenarioConfig) -> list[str]:
     """Cross-field checks; nested invariants were enforced at construction."""
     problems = []
+    if config.seed < 0:
+        problems.append(f"seed must be >= 0, got {config.seed}")
     if config.duration < config.collector.batch_seconds:
         problems.append(
             f"duration ({config.duration}s) must be >= collector.batch_seconds "

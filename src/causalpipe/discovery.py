@@ -28,13 +28,14 @@ share no cache entry; each context is let go when its phase ends, so PC1's
 entries are freed before MCI computes its own.
 
 The tests of one batch that do not depend on each other run concurrently on
-one module-level thread pool, created on first use with one worker per CPU
-this process may run on: the directed transfer-entropy pairs of fpcmci and,
-with the kridge_dcor test, the parent pre-selection of each target and every
-MCI test once the parents are fixed (parcorr tests are too short to hand
-off). Most of a kernel-ridge / dCor test runs in numpy loops that release
-the interpreter lock, so two tests overlap in part. Results are read back in
-submission order, so a model does not depend on the number of workers.
+one module-level thread pool, built at import with one worker per CPU this
+process may run on; it starts no thread before its first job. They are the
+directed transfer-entropy pairs of fpcmci and, with the kridge_dcor test,
+the parent pre-selection of each target and every MCI test once the parents
+are fixed (parcorr tests are too short to hand off). Most of a kernel-ridge /
+dCor test runs in numpy loops that release the interpreter lock, so two
+tests overlap in part. Results are read back in submission order, so a model
+does not depend on the number of workers.
 Workers never submit to the pool, so it cannot deadlock. They share the
 phase's cache without a lock and never wait for each other: two workers that
 need the same missing entry at once may both compute it, and both use the
@@ -57,7 +58,6 @@ import logging
 import math
 import os
 import shutil
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,23 +189,13 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The shared pool for independent tests, created on first use with one
-    worker per CPU in this process's affinity mask."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity API on this platform
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="causalpipe-ci")
-        return _pool
+try:
+    _workers = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _workers = os.cpu_count() or 1
+# The shared pool for independent tests, one worker per CPU in this process's
+# affinity mask; it starts no thread before its first job.
+_pool = ThreadPoolExecutor(max_workers=_workers, thread_name_prefix="causalpipe-ci")
 
 
 def _pooled(params: DiscoveryParams) -> bool:
@@ -222,17 +212,10 @@ def _pooled(params: DiscoveryParams) -> bool:
 def _run_all(fn: Callable, jobs: Sequence[tuple], pooled: bool = True) -> list[Any]:
     """fn(*job) for every job, on the shared pool when `pooled`,
     results in job order. The first failure in job order is raised
-    unchanged, after the jobs that have not started yet are cancelled."""
+    unchanged, and the jobs that have not started yet are cancelled."""
     if not pooled:
         return [fn(*job) for job in jobs]
-    pool = _executor()
-    futures = [pool.submit(fn, *job) for job in jobs]
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
+    return list(_pool.map(fn, *zip(*jobs)))
 
 
 def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariable]:
@@ -608,16 +591,9 @@ class PoolWatcher:
         self._analysis: tuple[Path, TimeSeriesBatch, Future] | None = None
 
     @property
-    def analysis(self) -> Future | None:
-        """The future of the batch that step() handed over and that is not
-        finished yet; it is done once the batch's `discover` has returned or
-        raised."""
-        return None if self._analysis is None else self._analysis[2]
-
-    @property
     def analysing(self) -> bool:
         """Whether a batch handed over by step() is not finished yet."""
-        return self.analysis is not None
+        return self._analysis is not None
 
     def _pending(self) -> list[Path]:
         return sorted(p for p in self.pool_dir.iterdir() if p.suffix == ".csv" and p.is_file())
@@ -661,7 +637,7 @@ class PoolWatcher:
             self._quarantine(path)
             return None
         if self.bus is not None:
-            end_time = batch.t0 + max(batch.n_samples - 1, 0) * batch.dt
+            end_time = batch.end_time
             if end_time < self._model_time:
                 log.warning("%s ends at %g s, before the last model: published at %g s",
                             path.name, end_time, self._model_time)
@@ -676,21 +652,24 @@ class PoolWatcher:
         path.unlink()
         return model
 
-    def step(self) -> None:
+    def step(self) -> Future | None:
         """Finish the batch whose analysis has ended, then hand the oldest
-        readable pending file to the analysis thread. Returns at once, without
-        a pool scan, while a batch is still in analysis."""
+        readable pending file to the analysis thread; returns the future of
+        that batch's `discover`, or None if it handed none over. Returns None
+        at once, without a pool scan, while a batch is still in analysis."""
         if self._analysis is not None:
             if not self._analysis[2].done():
-                return
+                return None
             self._finish()
         taken = self._take()
-        if taken is not None:
-            path, batch = taken
-            # `discover` is looked up on every step, so a wrapper set on this
-            # module (a delay, a timer) sees every batch
-            self._analysis = (path, batch, self._analyst.submit(
-                discover, batch, self.params, self.te_params, batch_id=batch_id_for(path)))
+        if taken is None:
+            return None
+        path, batch = taken
+        # `discover` is looked up on every step, so a wrapper set on this
+        # module (a delay, a timer) sees every batch
+        self._analysis = (path, batch, self._analyst.submit(
+            discover, batch, self.params, self.te_params, batch_id=batch_id_for(path)))
+        return self._analysis[2]
 
     def stop(self) -> CausalModel | None:
         """Wait for the batch in analysis, if any, and finish it; returns its
@@ -704,6 +683,5 @@ class PoolWatcher:
         while True:
             if (model := self.stop()) is not None:
                 models.append(model)
-            self.step()
-            if not self.analysing:
+            if self.step() is None:
                 return models

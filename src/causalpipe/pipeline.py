@@ -23,9 +23,11 @@ The calling process keeps the model topic, the pool watcher, the model
 files and the manifest. Its loop blocks until the generator reports or the
 batch in analysis ends, then steps the watcher (PoolWatcher.step): it does
 every pool file operation itself, and the watcher's analysis thread only
-runs `discover`. So collection never waits on analysis, and analysis never
-waits for the generator's interpreter lock: the calling process runs no
-thread beside the generator. The first step waits for the generator's
+runs `discover`. step() returns the future of each batch it hands over,
+and that future's done-callback writes to a pipe the loop waits on. So
+collection never waits on analysis, and analysis never waits for the
+generator's interpreter lock: the calling process runs no thread beside the
+generator. The first step waits for the generator's
 Collector, which numbers its batches past any backlog an earlier run left
 in the pool. When the generator ends, `drain()` runs the backlog through
 the same step(), waiting for each batch; a quiet abort only finishes the
@@ -41,15 +43,18 @@ loop, next to its exit code and its peak resident memory.
 
 A batch's `discovery_seconds` runs from the moment its CSV landed in the
 pool to the moment its model pair was written, so it includes the time the
-file waited for the watcher. A CSV that an earlier run left in the pool is
-stamped with the run's start. The manifest's checksums are of the bytes each
-model file was written with, not read back from disk.
+file waited for the watcher. The timings settle when the manifest is
+written: the generator reports every CSV it wrote before its summary, so a
+CSV that no report stamped is an earlier run's backlog, and counts from the
+run's start. The manifest's checksums are of the bytes each model file was
+written with, not read back from disk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import logging
@@ -59,7 +64,7 @@ import time as time_mod
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .bus import MessageBus
 from .collector import Collector
@@ -72,6 +77,7 @@ from .state import AgentState, HUMAN_TOPIC, ROBOT_TOPIC
 from .timeseries import read_csv, write_atomic
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
 
@@ -186,28 +192,14 @@ def _generate(config: ScenarioConfig, report: Connection) -> None:
         report.close()
 
 
-class _AnalysisWaker:
-    """A pipe end that turns readable when the batch in analysis ends, so
-    one `wait` covers the generator's reports and the analysis."""
-
-    def __init__(self) -> None:
-        import multiprocessing
-
-        self.readable, self._writable = multiprocessing.Pipe(duplex=False)
-        self._watched = None
-
-    def watch(self, watcher: PoolWatcher) -> None:
-        future = watcher.analysis
-        if future is not None and future is not self._watched:
-            self._watched = future
-            future.add_done_callback(self._wake)  # runs at once if already done
-
-    def _wake(self, _future) -> None:
-        # A future runs its callbacks after it has woken its waiters, so this
-        # may come after the run closed `readable`: then nothing reads it.
-        # The write end stays open until the callback is gone with its future.
-        with contextlib.suppress(BrokenPipeError):
-            self._writable.send_bytes(b"")
+def _wake(writable: Connection, _future) -> None:
+    """A done-callback for the batch in analysis: makes the pipe readable,
+    so one `wait` covers the generator's reports and the analysis."""
+    # A future runs its callbacks after it has woken its waiters, so this
+    # may come after the run closed the read end: then nothing reads it.
+    # The write end stays open until the callback is gone with its future.
+    with contextlib.suppress(BrokenPipeError):
+        writable.send_bytes(b"")
 
 
 def _reemit(record: logging.LogRecord) -> None:
@@ -216,18 +208,19 @@ def _reemit(record: logging.LogRecord) -> None:
         logger.handle(record)
 
 
-def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
-            landed: dict[str, float], generator: BaseProcess) -> dict:
+def _follow(reports: Connection, woken: Connection, wake: Callable[[Future], None],
+            watcher: PoolWatcher, landed: dict[str, float], generator: BaseProcess) -> dict:
     """Step the watcher whenever the generator reports or the batch in
-    analysis ends, until the generator's summary arrives; returns it."""
+    analysis ends (`wake` makes `woken` readable), until the generator's
+    summary arrives; returns it."""
     from multiprocessing.connection import wait
 
     started = False  # the generator reported "ready"
     while True:
-        ready = wait([reports, waker.readable])
-        step = waker.readable in ready
+        ready = wait([reports, woken])
+        step = woken in ready
         if step:
-            waker.readable.recv_bytes()
+            woken.recv_bytes()
         summary = None
         while summary is None and reports.poll():
             try:
@@ -251,9 +244,8 @@ def _follow(reports: Connection, waker: _AnalysisWaker, watcher: PoolWatcher,
                 summary = body[0]
             else:
                 raise GeneratorError(f"the generator process raised:\n{body[0]}")
-        if step:
-            watcher.step()
-            waker.watch(watcher)
+        if step and (analysis := watcher.step()) is not None:
+            analysis.add_done_callback(wake)  # runs at once if already done
         if summary is not None:
             return summary
 
@@ -329,19 +321,19 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
 
     result = PipelineResult(output_dir=out_dir, manifest_path=out_dir / "manifest.json")
     batch_rows: list[dict] = []
+    written: list[float] = []  # perf_counter when each row's model pair was written
     landed: dict[str, float] = {}  # CSV name -> perf_counter when it landed
 
     def on_model(model: CausalModel, csv_path: Path) -> None:
         stem = f"model_{int(model.batch_id):05d}" if model.batch_id.isdigit() \
             else f"model_{model.batch_id}"
         (json_path, dot_path), (json_bytes, dot_bytes) = _export_pair(model, out_dir, stem)
-        written = time_mod.perf_counter()
+        written.append(time_mod.perf_counter())
         result.models.append(model)
         result.model_files.append((json_path, dot_path))
         batch_rows.append({
             "batch_id": model.batch_id,
             "csv": csv_path.name,
-            "discovery_seconds": round(written - landed.get(csv_path.name, written), 6),
             "model_json": json_path.name,
             "model_dot": dot_path.name,
             "sha256_json": hashlib.sha256(json_bytes).hexdigest(),
@@ -352,10 +344,7 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
 
     watcher = PoolWatcher(pool_dir, config.discovery, config.te, bus=bus, on_model=on_model)
 
-    # a backlog an earlier run left in the pool has waited since this run began
-    backlog = [path.name for path in watcher._pending()]
     started = time_mod.perf_counter()
-    landed.update(dict.fromkeys(backlog, started))
     context = _process_context()
     reports, report_end = context.Pipe(duplex=False)
     generator = context.Process(target=_generate, args=(config, report_end),
@@ -363,9 +352,10 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     generator.start()
     # the generator now holds the only write end: its exit reads as EOF here
     report_end.close()
-    waker = _AnalysisWaker()
+    woken, waking = context.Pipe(duplex=False)
     try:
-        summary = _follow(reports, waker, watcher, landed, generator)
+        summary = _follow(reports, woken, functools.partial(_wake, waking), watcher, landed,
+                          generator)
     except BaseException:
         generator.terminate()
         watcher.stop()
@@ -375,8 +365,12 @@ def run_pipeline(config: ScenarioConfig, drain_pool: bool = True) -> PipelineRes
     finally:
         generator.join()
         reports.close()
-        waker.readable.close()
+        woken.close()
 
+    # every CSV the generator wrote was stamped before its summary: one that
+    # no report stamped is an earlier run's backlog, which waited since the start
+    for row, at in zip(batch_rows, written):
+        row["discovery_seconds"] = round(at - landed.get(row["csv"], started), 6)
     result.csv_files_written = summary["csv_files_written"]
     result.quarantined = watcher.quarantined
     manifest = {

@@ -57,6 +57,11 @@ class TimeSeriesBatch:
     def n_vars(self) -> int:
         return self.rows.shape[1]
 
+    @property
+    def end_time(self) -> float:
+        """The time of the last grid point, t0 + (n-1)*dt; t0 when empty."""
+        return self.t0 + max(self.n_samples - 1, 0) * self.dt
+
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.variable_names.index(name)]
 
@@ -102,7 +107,7 @@ def read_csv(path: str | Path) -> TimeSeriesBatch:
 
     With a "time" column of two or more rows, the batch's dt is the median
     time step. A dt that is not a positive finite number (a column that does
-    not increase, or whose steps overflow), or a last grid time t0 + (n-1)*dt
+    not increase, or whose steps overflow), or a batch whose end_time is
     past the largest float, is a CsvFormatError: a model is published at its
     batch's end time.
     """
@@ -158,7 +163,8 @@ def read_csv(path: str | Path) -> TimeSeriesBatch:
             if not (math.isfinite(dt) and dt > 0.0):
                 raise CsvFormatError(f"{path.name}: time step {dt!r} is not a positive "
                                      "finite number")
-            if not math.isfinite(t0 + (len(t) - 1) * dt):
-                raise CsvFormatError(f"{path.name}: {len(t)} rows at time step {dt!r} "
-                                     f"from {t0!r} end past the largest float")
-    return TimeSeriesBatch(variable_names=names, t0=t0, dt=dt, rows=rows)
+    batch = TimeSeriesBatch(variable_names=names, t0=t0, dt=dt, rows=rows)
+    if not math.isfinite(batch.end_time):
+        raise CsvFormatError(f"{path.name}: {len(data)} rows at time step {dt!r} "
+                             f"from {t0!r} end past the largest float")
+    return batch

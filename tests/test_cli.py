@@ -2,8 +2,6 @@ import hashlib
 import json
 import logging
 import os
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -17,6 +15,8 @@ from causalpipe.discovery import MODEL_TOPIC, DiscoveryParams, PoolWatcher
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams
 from causalpipe.timeseries import TimeSeriesBatch, read_csv, write_csv
+
+from conftest import run_python
 
 
 def fast_run_args(out_dir, extra=()):
@@ -65,10 +65,9 @@ def test_manifest_digests_are_of_the_model_files_on_disk(tmp_path):
 
 def test_the_pool_is_scanned_only_when_a_csv_lands_or_a_batch_finishes(tmp_path,
                                                                        monkeypatch):
-    # 72 s of 0.05 s steps is 1,441 collector ticks and 3 batches: one scan
-    # to stamp the backlog, at most one at the start, one per landing, one per
-    # finished batch and one for the final drain, all on the thread that runs
-    # the pipeline
+    # 72 s of 0.05 s steps is 1,441 collector ticks and 3 batches: at most
+    # one scan at the start, one per landing, one per finished batch and one
+    # for the final drain, all on the thread that runs the pipeline
     scans = []
     pending = PoolWatcher._pending
 
@@ -81,7 +80,7 @@ def test_the_pool_is_scanned_only_when_a_csv_lands_or_a_batch_finishes(tmp_path,
     assert cli.main(fast_run_args(out, extra=["--duration", "72"])) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["csv_files_written"] == 3
-    assert 5 <= len(scans) <= 1 + 1 + 3 + 3 + 1, len(scans)
+    assert 5 <= len(scans) <= 1 + 3 + 3 + 1, len(scans)
     assert set(scans) == {threading.get_ident()}
 
 
@@ -136,26 +135,17 @@ def test_failed_manifest_replace_keeps_old_manifest(tmp_path, monkeypatch):
 
 
 def test_python_m_cli_runs_the_pipeline(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "causalpipe.cli", "run", "--seed", "42",
-         "--duration", "150", "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=600)
+    proc = run_python("-m", "causalpipe.cli", "run", "--seed", "42", "--duration", "150",
+                      "--out", str(out), timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert (out / "model_00000.json").exists()
     assert json.loads((out / "manifest.json").read_text())["models_published"] == 1
 
 
 def test_python_m_package_runs_the_pipeline(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "causalpipe", *fast_run_args(out)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          text=True, timeout=600)
+    proc = run_python("-m", "causalpipe", *fast_run_args(out), timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert (out / "model_00000.json").exists()
     assert json.loads((out / "manifest.json").read_text())["models_published"] == 1
@@ -370,6 +360,10 @@ ONE_SPEC = {"specs": [{"n_vars": 1}]}
     ({"specs": [{"n_vars": 1, "name": 5}]}, "specs[0]: name must be a string, got the number 5"),
     ({"specs": [{"n_vars": 2, "edges": [[0, 1, 1, "0.8"]]}]},
      "specs[0]: coefficient must be a finite number, got a string"),
+    ({**ONE_SPEC, "seed": -1}, "seed must be >= 0, got -1"),
+    # a spec's seed used to be replaced by the base seed plus the run index
+    ({"specs": [{"n_vars": 1}, {"n_vars": 1, "seed": 777}]},
+     "specs[1]: seed is not read: each run's seed is the base seed plus the run's index"),
 ])
 def test_bench_field_of_the_wrong_type_is_reported_before_any_run(
         tmp_path, monkeypatch, capsys, payload, problem):
@@ -392,6 +386,18 @@ def test_bench_reports_every_unknown_key(tmp_path):
         cli._parse_bench_config(config, None)
     assert raised.value.problems == ["unknown bench config key 'method'",
                                      "unknown bench config key 'seed_count'"]
+
+
+def test_bench_seed_flag_below_0_exits_1_before_any_run(tmp_path, capsys):
+    # the seed used to reach numpy's generator, which raised: exit 2
+    out = tmp_path / "out"
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({**ONE_SPEC, "seeds": 1}))
+    rc = cli.main(["bench", "--config", str(config), "--seed", "-1", "--out", str(out),
+                   "--quiet"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -419,6 +425,7 @@ def test_run_with_a_non_integer_field_exits_1_before_any_batch(tmp_path, capsys,
     (["--dt", "nan"], "collector: dt must be a finite number, got the number nan"),
     (["--tau-max", "0"], "discovery: need 1 <= tau_min <= tau_max, got [1, 0]"),
     (["--duration", "nan"], "duration must be a finite number, got the number nan"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_run_with_a_bad_flag_exits_1_before_anything_runs(tmp_path, capsys, flags, problem):
     out = tmp_path / "out"

@@ -142,6 +142,7 @@ def test_config_parsers_return_or_raise_config_error(payload):
     ({"sfm": {"noise_accel": True}}, "sfm: noise_accel must be a finite number, got a boolean"),
     ({"robot_path": {"cruise_speed": 1e400}},
      "robot_path: cruise_speed must be a finite number, got the number inf"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_bad_config_is_a_config_error(payload, problem):
     with pytest.raises(ConfigError) as info:

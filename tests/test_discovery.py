@@ -4,7 +4,6 @@ import json
 import logging
 import os
 import shutil
-import subprocess
 import sys
 import threading
 import time
@@ -30,6 +29,8 @@ from causalpipe.pipeline import run_pipeline
 from causalpipe.scm_bench import Edge, SCMSpec, generate
 from causalpipe.stats import KernelRegParams, TEParams
 from causalpipe.timeseries import TimeSeriesBatch, write_csv
+
+from conftest import run_python
 
 PARCORR = DiscoveryParams(alpha=0.05, tau_min=1, tau_max=1, ci_test="parcorr", seed=0)
 
@@ -1112,11 +1113,7 @@ def test_interpreter_exit_mid_batch_quarantines_nothing(tmp_path):
               "params = DiscoveryParams(ci_test='kridge_dcor', method='fpcmci')\n"
               "PoolWatcher(sys.argv[1], params).step()\n"
               "time.sleep(0.05)\n")
-    src = os.path.dirname(os.path.dirname(discovery.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, str(pool)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          text=True, timeout=300)
+    proc = run_python("-c", script, str(pool), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "analysis failed" not in proc.stderr
     assert not (pool / "quarantine").exists()

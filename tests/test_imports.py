@@ -1,12 +1,10 @@
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import causalpipe
+
+from conftest import run_python
 
 # Every module of the package; `python -m causalpipe` guards its entry point.
 MODULES = sorted(f"causalpipe.{m.name}" for m in pkgutil.iter_modules(causalpipe.__path__))
@@ -51,12 +49,8 @@ def scipy_loaded(tmp_path_factory):
     """{step: (scipy.stats loaded, scipy.special loaded)} after building
     each watcher (the step is its CI test) and after the first parcorr test,
     in a fresh interpreter: this one has scipy loaded by other tests."""
-    src = str(Path(causalpipe.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = "\n".join(f"import {m}" for m in MODULES) + BUILD
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path_factory.mktemp("out"))],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script, str(tmp_path_factory.mktemp("out")), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "causalpipe.stats" in MODULES and "causalpipe.cli" in MODULES
     rows = [line.split() for line in proc.stdout.splitlines()]

@@ -4,6 +4,7 @@ calling process. A child that fails must fail the run, never hang it, and
 every child is joined."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -11,19 +12,20 @@ import logging
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from causalpipe import pipeline
-from causalpipe.config import default_config
+from causalpipe.config import ConfigError, default_config
 from causalpipe.discovery import PoolWatcher
 from causalpipe.pipeline import GeneratorError, run_pipeline
 from causalpipe.postprocess import RiskParams
 from causalpipe.sim import SIM_DT, SFMParams
+
+from conftest import run_python
 
 
 def small_config(tmp_path, seed=5):
@@ -106,6 +108,35 @@ def test_a_run_joins_its_generator_and_reports_it(tmp_path):
     assert (manifest["csv_files_written"], manifest["models_published"]) == (3, 3)
 
 
+def test_a_negative_seed_fails_the_run_before_anything_starts(tmp_path):
+    # the simulator's random generator would raise in the generator process
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        run_pipeline(small_config(tmp_path, seed=-1))
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_leaves_no_file_descriptor_or_thread_behind(tmp_path):
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("no /proc/self/fd to list open file descriptors")
+    # the first run of a process starts the fork server and the resource tracker
+    run_pipeline(small_config(tmp_path / "warm-up"))
+    gc.collect()
+    fds, threads = set(os.listdir(fd_dir)), set(threading.enumerate())
+    for k in range(2):
+        run_pipeline(small_config(tmp_path / f"run{k}"))
+    # a watcher's analysis thread ends once the watcher is collected
+    deadline = time.monotonic() + 30.0
+    while True:
+        gc.collect()
+        opened = set(os.listdir(fd_dir)) ^ fds
+        started = [t.name for t in threading.enumerate() if t not in threads]
+        if not (opened or started) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert (opened, started) == (set(), [])
+
+
 def test_a_generator_that_raises_fails_the_run_with_its_error(tmp_path, monkeypatch):
     stops = count_stops(monkeypatch)
     with pytest.raises(GeneratorError, match="injected step failure"):
@@ -179,19 +210,10 @@ if __name__ == "__main__":
 """
 
 
-def run_python(args, tmp_path, **kwargs):
-    """Run a fresh interpreter in tmp_path, with this package on its path."""
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120, **kwargs)
-
-
 def test_a_main_script_read_from_stdin_fails_before_anything_starts(tmp_path):
     # the generator would have to import the script, which has no file
     out = tmp_path / "out"
-    proc = run_python(["-", str(out)], tmp_path, input=GUARDED_SCRIPT)
+    proc = run_python("-", str(out), cwd=tmp_path, input=GUARDED_SCRIPT, timeout=120)
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("causalpipe.pipeline.GeneratorError: the main script ")
@@ -206,7 +228,7 @@ def test_an_unguarded_main_script_fails_the_run_naming_the_guard(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(GUARDED_SCRIPT.replace('if __name__ == "__main__":', "if True:"),
                       encoding="utf-8")
-    proc = run_python([str(script), str(tmp_path / "out")], tmp_path)
+    proc = run_python(str(script), str(tmp_path / "out"), cwd=tmp_path, timeout=120)
     assert proc.returncode == 1
     assert "current process has finished its bootstrapping phase" in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]

@@ -7,14 +7,13 @@ model byte fail the tests, not only the benchmark run. The file is only read.
 
 import hashlib
 import json
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from causalpipe import discovery
+from conftest import run_python
+
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
@@ -47,20 +46,17 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_one_blas_thread(*args: str) -> subprocess.CompletedProcess:
     """Python on this source tree with one BLAS thread, in a fresh process."""
-    src = os.path.dirname(os.path.dirname(discovery.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args],
-                          env={**os.environ, "PYTHONPATH": path, **ONE_BLAS_THREAD},
-                          capture_output=True, text=True, timeout=600)
+    proc = run_python(*args, env=ONE_BLAS_THREAD, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
 def workload_digests(tmp_path, ci_test: str, method: str, batches: int,
                      streams: list[str]) -> dict:
-    proc = run_python("-c", WORKLOAD, str(tmp_path), ci_test, method, str(batches), *streams)
+    proc = run_one_blas_thread("-c", WORKLOAD, str(tmp_path), ci_test, method, str(batches),
+                               *streams)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -97,7 +93,8 @@ def test_the_cli_run_matches_the_benchmark_reference(tmp_path):
     # point and its generator process
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["run_seed42_cli"]
     out = tmp_path / "out"
-    run_python("-m", "causalpipe", "run", "--seed", "42", "--out", str(out), "--quiet")
+    run_one_blas_thread("-m", "causalpipe", "run", "--seed", "42", "--out", str(out),
+                        "--quiet")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.glob("model_*.json"))}
     assert digests == reference
