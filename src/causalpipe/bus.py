@@ -83,7 +83,7 @@ class Subscription:
 
 
 class Topic:
-    """A named channel carrying exactly one message kind."""
+    """A named channel carrying exactly one message kind, with one clock."""
 
     def __init__(self, name: str, kind: type):
         self.name = name
@@ -91,6 +91,11 @@ class Topic:
         self._subscriptions: list[Subscription] = []
         self._lock = threading.Lock()
         self._last_publish_time = -math.inf
+
+    @property
+    def last_publish_time(self) -> float:
+        """Publish time of the last message (-inf before any); MessageBus.publish sets it."""
+        return self._last_publish_time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topic({self.name!r}, kind={self.kind.__name__})"

@@ -22,7 +22,7 @@ from pathlib import Path
 from .collector import CollectorConfig
 from .discovery import DiscoveryParams
 from .postprocess import POSTPROCESSORS, RiskParams
-from .sim import RobotPath, SFMParams
+from .sim import SIM_DT, RobotPath, SFMParams
 from .stats import TEParams
 
 
@@ -64,6 +64,10 @@ def validate(config: ScenarioConfig) -> list[str]:
     problems = []
     if config.seed < 0:
         problems.append(f"seed must be >= 0, got {config.seed}")
+    if config.collector.dt < SIM_DT:
+        # ticked once a simulator step, a finer collector only buffers copies
+        problems.append(f"collector.dt ({config.collector.dt}s) must be >= the simulator "
+                        f"step ({SIM_DT}s)")
     if config.duration < config.collector.batch_seconds:
         problems.append(
             f"duration ({config.duration}s) must be >= collector.batch_seconds "

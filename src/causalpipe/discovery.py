@@ -55,7 +55,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import shutil
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -346,19 +345,18 @@ def mci_tests(ctx: CIContext,
     val = np.zeros((n_lags, n_vars, n_vars))
     pval = np.ones((n_lags, n_vars, n_vars))
 
-    def top_parents(j: int) -> list[LaggedVariable]:
-        ranked = sorted(parents_by_target.get(j, ()), key=lambda ps: abs(ps[1]),
-                        reverse=True)
-        return [c for c, _ in ranked]
-
+    # each target's parents, strongest first; the sort is stable
+    top_parents = [[c for c, _ in sorted(parents_by_target.get(j, ()),
+                                         key=lambda ps: abs(ps[1]), reverse=True)]
+                   for j in range(n_vars)]
     jobs = []
     cells = []
     for j in range(n_vars):
-        parents_j = top_parents(j)
+        parents_j = top_parents[j]
         for i in range(n_vars):
             if not ctx.allows(i, j):
                 continue
-            parents_i = top_parents(i)
+            parents_i = top_parents[i]
             for tau in range(params.tau_min, params.tau_max + 1):
                 tested = LaggedVariable(i, tau)
                 cond_j = [c for c in parents_j if c != tested][:params.max_conditions]
@@ -560,9 +558,10 @@ class PoolWatcher:
     discovery on it, publishes the CausalModel on the bus, hands it to
     `on_model`, then deletes the file. Files that cannot be read or analysed
     are moved to a quarantine subdirectory, never silently deleted. A model
-    is published at its batch's end time, or at the last model's if that is
-    later (a batch an earlier run left in a reused pool): the model topic's
-    clock never goes back.
+    is published at its batch's end time, or at the model topic's last
+    publish time if that is later (a batch an earlier run left in a reused
+    pool, or a model of another watcher on the same bus): the topic keeps
+    the one clock, and it never goes back.
 
     A watcher is driven from one thread, which does every pool file
     operation (scan, read, publish and on_model, delete or quarantine).
@@ -585,7 +584,6 @@ class PoolWatcher:
         self.quarantine_dir = self.pool_dir / "quarantine"
         self.published = 0
         self.quarantined = 0
-        self._model_time = -math.inf  # bus time of the last model published
         # its one thread starts on the first step() and ends with the watcher
         self._analyst = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pool-analysis")
         self._analysis: tuple[Path, TimeSeriesBatch, Future] | None = None
@@ -637,12 +635,11 @@ class PoolWatcher:
             self._quarantine(path)
             return None
         if self.bus is not None:
-            end_time = batch.end_time
-            if end_time < self._model_time:
+            last = self.bus.topic(MODEL_TOPIC).last_publish_time
+            if batch.end_time < last:
                 log.warning("%s ends at %g s, before the last model: published at %g s",
-                            path.name, end_time, self._model_time)
-            self._model_time = max(self._model_time, end_time)
-            self.bus.publish(MODEL_TOPIC, model, time=self._model_time)
+                            path.name, batch.end_time, last)
+            self.bus.publish(MODEL_TOPIC, model, time=max(batch.end_time, last))
         self.published += 1
         if self.on_model is not None:
             try:

@@ -255,13 +255,15 @@ def _process_context():
     running; elsewhere spawn, which imports this module afresh for each
     generator.
 
-    The server preloads this module (after `__main__`, the context's
-    default), so each generator is forked with the package loaded. It is a
-    fresh interpreter and is not given this process's sys.path (Python
-    3.11 drops it), so the sys.path goes in PYTHONPATH while the server
-    starts; a server that could not import the package would leave every
-    generator to import it, some 150 ms a run. A server another caller
-    started without this preload is used as it is."""
+    The server preloads this module, so each generator is forked with the
+    package loaded. `__main__`, the context's default, stays in the list,
+    but Python 3.11's server never imports it: `ensure_running` forwards
+    only `main_path` and `sys_path`, and the preparation data names the
+    script `init_main_from_path`; each generator imports it instead. Nor
+    does the server use that sys_path, so this process's goes in PYTHONPATH
+    while the server starts; a server that could not import the package
+    would leave every generator to import it, some 150 ms a run. A server
+    another caller started without this preload is used as it is."""
     import multiprocessing
     from multiprocessing import forkserver
 

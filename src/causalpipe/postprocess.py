@@ -14,6 +14,7 @@ stationary or moving away.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -81,67 +82,55 @@ def collision_risk(h: AgentState, r: AgentState, p: RiskParams = RiskParams()) -
     return closing * math.exp(-max(0.0, gap) / p.decay_length) / max(gap, p.epsilon)
 
 
-def postprocess_batch(samples: Iterable[RawSample],
-                      risk: RiskParams = RiskParams()) -> TimeSeriesBatch:
-    """One row per sample, columns (time, h_v, h_dg, h_risk).
+def _hri_row(s: RawSample, risk: RiskParams) -> tuple:
+    return (s.t, human_speed(s.human), goal_distance(s.human),
+            collision_risk(s.human, s.robot, risk))
 
-    The agent states were checked finite when they were built; a row that is
-    not finite all the same fails the batch, naming the row's time.
-    """
+
+# Per agent, human (h_) then robot (r_): pose, velocity and goal.
+IDENTITY_COLUMNS = ["time", *(f"{agent}_{field}" for agent in "hr"
+                              for field in ("x", "y", "theta", "vx", "vy", "omega", "gx", "gy"))]
+
+
+def _identity_row(s: RawSample, _risk: RiskParams) -> tuple:
+    return (s.t, *(v for a in (s.human, s.robot) for v in (
+        a.pose.x, a.pose.y, a.pose.theta, a.velocity.vx, a.velocity.vy, a.velocity.omega,
+        *a.goal)))
+
+
+# Registered transforms: config name -> (columns, row of a sample, given risk).
+POSTPROCESSORS = {"hri_basic": (HRI_COLUMNS, _hri_row),
+                  "identity": (IDENTITY_COLUMNS, _identity_row)}
+
+
+def _tabulate(samples: Iterable[RawSample], name: str, risk: RiskParams) -> TimeSeriesBatch:
+    """One row per sample, by the registered transform `name`. The states were checked
+    finite when built; a row that is not finite still fails the batch, naming its time."""
+    columns, row = POSTPROCESSORS[name]
     samples = list(samples)
     if not samples:
         raise PostprocessError("empty sample list")
-    rows = np.empty((len(samples), 4), dtype=np.float64)
-    for i, s in enumerate(samples):
-        rows[i] = (s.t, human_speed(s.human), goal_distance(s.human),
-                   collision_risk(s.human, s.robot, risk))
+    rows = np.array([row(s, risk) for s in samples], dtype=np.float64)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise PostprocessError(f"non-finite row at time {rows[~finite][0, 0]}")
-    t0 = samples[0].t
     dt = samples[1].t - samples[0].t if len(samples) > 1 else 1.0
-    return TimeSeriesBatch(variable_names=list(HRI_COLUMNS), t0=t0, dt=dt, rows=rows)
+    return TimeSeriesBatch(variable_names=list(columns), t0=samples[0].t, dt=dt, rows=rows)
 
 
-IDENTITY_COLUMNS = [
-    "time",
-    "h_x", "h_y", "h_theta", "h_vx", "h_vy", "h_omega", "h_gx", "h_gy",
-    "r_x", "r_y", "r_theta", "r_vx", "r_vy", "r_omega", "r_gx", "r_gy",
-]
+def postprocess_batch(samples: Iterable[RawSample],
+                      risk: RiskParams = RiskParams()) -> TimeSeriesBatch:
+    """Columns (time, h_v, h_dg, h_risk)."""
+    return _tabulate(samples, "hri_basic", risk)
 
 
 def identity_batch(samples: Iterable[RawSample]) -> TimeSeriesBatch:
     """Raw pose/velocity/goal columns for both agents, no feature extraction."""
-    samples = list(samples)
-    if not samples:
-        raise PostprocessError("empty sample list")
-    rows = np.empty((len(samples), len(IDENTITY_COLUMNS)), dtype=np.float64)
-    for i, s in enumerate(samples):
-        h, r = s.human, s.robot
-        rows[i] = (
-            s.t,
-            h.pose.x, h.pose.y, h.pose.theta, h.velocity.vx, h.velocity.vy,
-            h.velocity.omega, h.goal[0], h.goal[1],
-            r.pose.x, r.pose.y, r.pose.theta, r.velocity.vx, r.velocity.vy,
-            r.velocity.omega, r.goal[0], r.goal[1],
-        )
-    t0 = samples[0].t
-    dt = samples[1].t - samples[0].t if len(samples) > 1 else 1.0
-    return TimeSeriesBatch(variable_names=list(IDENTITY_COLUMNS), t0=t0, dt=dt, rows=rows)
+    return _tabulate(samples, "identity", RiskParams())
 
 
 def resolve_postprocessor(name: str, risk: RiskParams = RiskParams()):
     """Look up a registered transform by config name."""
-    try:
-        factory = POSTPROCESSORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown postprocessor {name!r}; registered: {sorted(POSTPROCESSORS)}"
-        ) from None
-    return factory(risk)
-
-
-POSTPROCESSORS = {
-    "hri_basic": lambda risk: (lambda samples: postprocess_batch(samples, risk)),
-    "identity": lambda risk: identity_batch,
-}
+    if name not in POSTPROCESSORS:
+        raise KeyError(f"unknown postprocessor {name!r}; registered: {sorted(POSTPROCESSORS)}")
+    return functools.partial(_tabulate, name=name, risk=risk)

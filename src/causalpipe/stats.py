@@ -105,6 +105,10 @@ class KernelRegParams:
             raise ValueError(f"permutations must be >= 50, got {self.permutations}")
 
 
+# The most cells one shift's joint-count table may hold: bins ** (2k + 1).
+TE_MAX_TABLE_CELLS = 1 << 22
+
+
 @dataclass(frozen=True)
 class TEParams:
     """Transfer-entropy estimator settings."""
@@ -119,6 +123,10 @@ class TEParams:
             raise ValueError(f"history k must be >= 1, got {self.k}")
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
+        # as bins >= 2, an exponent capped at the bound's bit length decides it
+        if self.bins ** min(2 * self.k + 1, TE_MAX_TABLE_CELLS.bit_length()) > TE_MAX_TABLE_CELLS:
+            raise ValueError(f"bins ** (2k + 1), the cells of one shift's count table, must be "
+                             f"<= {TE_MAX_TABLE_CELLS}; got bins {self.bins}, k {self.k}")
         if self.shuffles < 1:
             raise ValueError(f"shuffles must be >= 1, got {self.shuffles}")
         if not 0.0 < self.quantile < 1.0:
@@ -251,19 +259,9 @@ def parcorr_test(x, y, Z=(), cache: ResidualCache | None = None,
     return CITestResult(statistic=r, p_value=p)
 
 
-def median_bandwidth(sq: np.ndarray) -> float:
-    """Median of nonzero pairwise Euclidean distances, given the (n, n) matrix
-    of squared distances; 1.0 on degenerate input."""
-    upper = sq[np.triu_indices(len(sq), k=1)]
-    positive = np.sqrt(upper[upper > 0])
-    if positive.size == 0:
-        return 1.0
-    return float(np.median(positive))
-
-
 def rbf_kernel(Z) -> np.ndarray | None:
-    """RBF kernel matrix over the standardised columns of Z that vary, with
-    the median-heuristic bandwidth; None when no column varies."""
+    """RBF kernel matrix over the standardised columns of Z that vary, with the
+    median nonzero pairwise distance (or 1.0) as bandwidth; None when no column varies."""
     Zm = _column_matrix(Z)
     col_std = Zm.std(axis=0)
     informative = col_std > 0
@@ -271,7 +269,9 @@ def rbf_kernel(Z) -> np.ndarray | None:
         return None
     Zs = (Zm[:, informative] - Zm[:, informative].mean(axis=0)) / col_std[informative]
     sq = ((Zs[:, None, :] - Zs[None, :, :]) ** 2).sum(axis=2)
-    bandwidth = median_bandwidth(sq)
+    upper = sq[np.triu_indices(len(sq), k=1)]
+    distances = np.sqrt(upper[upper > 0])
+    bandwidth = float(np.median(distances)) if distances.size else 1.0
     return np.exp(-sq / (2.0 * bandwidth * bandwidth))
 
 

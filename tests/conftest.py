@@ -7,6 +7,10 @@ from pathlib import Path
 
 import causalpipe
 
+# Warnings are errors in the interpreters the tests start too (the fork
+# server, each generator, every run_python child), as pytest makes them here.
+os.environ.setdefault("PYTHONWARNINGS", "error")
+
 # the directory this process imports the package from
 SRC = str(Path(causalpipe.__file__).resolve().parents[1])
 

@@ -426,6 +426,9 @@ def test_run_with_a_non_integer_field_exits_1_before_any_batch(tmp_path, capsys,
     (["--tau-max", "0"], "discovery: need 1 <= tau_min <= tau_max, got [1, 0]"),
     (["--duration", "nan"], "duration must be a finite number, got the number nan"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    # ticked once a 0.05 s simulator step, the collector would buffer copies
+    (["--dt", "0.01", "--duration", "1", "--batch-seconds", "1", "--citest", "parcorr",
+      "--method", "pcmci"], "collector.dt (0.01s) must be >= the simulator step (0.05s)"),
 ])
 def test_run_with_a_bad_flag_exits_1_before_anything_runs(tmp_path, capsys, flags, problem):
     out = tmp_path / "out"
@@ -441,6 +444,18 @@ def test_run_with_an_infinite_config_field_exits_1_before_anything_runs(tmp_path
     rc = cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
     assert rc == cli.EXIT_VALIDATION
     assert "robot_path: cruise_speed must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_a_te_table_too_large_exits_1_before_anything_runs(tmp_path, capsys):
+    # 64 ** 5 count cells a shift: every batch failed allocating 8 GiB
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text('{"te": {"bins": 64, "k": 2}}')
+    rc = cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "te: bins ** (2k + 1), the cells of one shift's count table, must be <= " \
+        "4194304; got bins 64, k 2" in capsys.readouterr().err
     assert not out.exists()
 
 

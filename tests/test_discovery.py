@@ -869,6 +869,30 @@ def test_watcher_quarantines_a_batch_without_a_finite_time_step(tmp_path, caplog
     assert published.publish_time == pytest.approx(150.0 + 499 * 0.3)
 
 
+def test_watchers_sharing_a_bus_publish_on_the_model_topic_clock(tmp_path, caplog):
+    # the topic keeps the one model clock: a batch that ends before another
+    # watcher's last model is published at that model's time, with a warning
+    bus = MessageBus()
+    bus.create_topic(MODEL_TOPIC, CausalModel)
+    sub = bus.subscribe(MODEL_TOPIC)
+    rows = np.random.default_rng(0).standard_normal((200, 2))
+    pools = []
+    for name, t0 in (("late", 1000.0), ("early", 0.0)):
+        pool = tmp_path / name
+        pool.mkdir()
+        write_csv(TimeSeriesBatch(["time", "a", "b"], t0, 0.3,
+                                  np.column_stack([t0 + 0.3 * np.arange(200), rows])),
+                  pool / "data_00000_000000000000.csv")
+        pools.append(pool)
+    watchers = [PoolWatcher(pool, PARCORR, bus=bus) for pool in pools]
+    with caplog.at_level(logging.WARNING, logger="causalpipe.discovery"):
+        assert [len(watcher.drain()) for watcher in watchers] == [1, 1]
+    late, early = sub.drain()
+    assert late.publish_time == early.publish_time == pytest.approx(1000.0 + 199 * 0.3)
+    assert "ends at 59.7 s, before the last model: published at 1059.7 s" in caplog.text
+    assert [list(pool.iterdir()) for pool in pools] == [[], []]
+
+
 def test_watcher_keeps_every_quarantined_file(tmp_path):
     # a reused pool restarts the batch names, so a second corrupt file can
     # carry the name of one already in quarantine

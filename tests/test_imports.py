@@ -67,3 +67,9 @@ def test_scipy_special_loads_on_the_first_parcorr_test(scipy_loaded):
     assert scipy_loaded["kridge_dcor"][1] is False
     assert scipy_loaded["parcorr"][1] is False
     assert scipy_loaded["parcorr_test"][1] is True
+
+
+def test_an_interpreter_the_tests_start_turns_warnings_into_errors():
+    proc = run_python("-c", "import sys; print(sys.warnoptions)", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['error']"

@@ -147,9 +147,8 @@ def test_postprocess_batch_preserves_order_and_count():
     np.testing.assert_allclose(batch.column("time"), [0.3 * i for i in range(10)])
 
 
-def test_postprocess_batch_rejects_nonfinite_sample():
-    good = agent()
-    # build a state with NaN velocity bypassing constructor validation
+def nan_velocity_human():
+    """A human state with a NaN velocity, bypassing the constructor's checks."""
     h = AgentState.__new__(AgentState)
     object.__setattr__(h, "agent_id", "human")
     object.__setattr__(h, "stamp", 0.0)
@@ -160,8 +159,12 @@ def test_postprocess_batch_rejects_nonfinite_sample():
     object.__setattr__(h.velocity, "omega", 0.0)
     object.__setattr__(h, "goal", (0.0, 0.0))
     object.__setattr__(h, "body_radius", 0.3)
+    return h
+
+
+def test_postprocess_batch_rejects_nonfinite_sample():
     with pytest.raises(PostprocessError):
-        postprocess_batch([RawSample(t=0.0, human=h, robot=good)])
+        postprocess_batch([RawSample(t=0.0, human=nan_velocity_human(), robot=agent())])
 
 
 def test_postprocess_batch_names_the_time_of_a_nonfinite_row():
@@ -185,6 +188,14 @@ def test_identity_batch_raw_columns():
     assert batch.column("h_x")[0] == 1.0
     assert batch.column("r_x")[0] == 5.0
     assert batch.column("h_gx")[0] == 2.0
+
+
+def test_identity_batch_names_the_time_of_a_nonfinite_row():
+    robot = agent(x=5.0, agent_id="robot")
+    samples = [RawSample(t=0.0, human=agent(), robot=robot),
+               RawSample(t=0.3, human=nan_velocity_human(), robot=robot)]
+    with pytest.raises(PostprocessError, match="at time 0.3$"):
+        identity_batch(samples)
 
 
 def test_resolver_knows_registered_names():

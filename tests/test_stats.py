@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from causalpipe import stats
-from causalpipe.stats import (CITestResult, KernelRegParams, ResidualCache, TEParams,
+from causalpipe.stats import (TE_MAX_TABLE_CELLS, CITestResult, KernelRegParams,
+                              ResidualCache, TEParams,
                               _permutation_rows, _sorted_abs_cross_sums, dcor_perm_test,
                               distance_correlation, kernel_ridge_residuals,
                               kridge_dcor_test, parcorr_test, pearson,
@@ -804,6 +805,7 @@ def test_te_significance_matches_reference_exactly(k):
     # every shift scored at once gives the values of one shift at a time,
     # bit for bit, also on ties (rounded series), constant sources and
     # tables too large to score all shifts in one group
+    max_bins = max(b for b in range(2, 13) if b ** (2 * k + 1) <= TE_MAX_TABLE_CELLS)
     for case in range(40):
         rng = np.random.default_rng(1000 * k + case)
         n = int(rng.integers(50, 600))
@@ -815,7 +817,7 @@ def test_te_significance_matches_reference_exactly(k):
         dst = np.concatenate(([0.0], 0.7 * src[:-1] + rng.normal(size=n - 1)))
         if case % 4 == 3:
             dst = np.round(dst)
-        params = TEParams(k=k, bins=int(rng.integers(2, 13)),
+        params = TEParams(k=k, bins=int(rng.integers(2, max_bins + 1)),
                           shuffles=int(rng.integers(1, 150)))
         assert te_significance(src, dst, params, seed=case) == \
             te_significance_reference(src, dst, params, seed=case)
@@ -872,6 +874,16 @@ def test_te_params_validation():
         TEParams(bins=1)
     with pytest.raises(ValueError):
         TEParams(quantile=1.0)
+
+
+def test_te_params_bound_the_count_table_of_a_shift():
+    for k, bins in ((1, 8), (2, 8), (3, 8)):
+        TEParams(k=k, bins=bins)
+    # 64 ** 5 cells: 8 GiB of counts for one shift
+    with pytest.raises(ValueError, match="one shift's count table"):
+        TEParams(k=2, bins=64)
+    with pytest.raises(ValueError, match="one shift's count table"):
+        TEParams(k=10**18)  # rejected without building the power
 
 
 def test_ci_result_validation():
