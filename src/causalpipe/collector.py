@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .bus import MessageBus, Subscription
+from .bus import DEFAULT_CAPACITY, MessageBus, Subscription
 from .state import AgentState, HUMAN_TOPIC, ROBOT_TOPIC
 from .timeseries import TimeSeriesBatch, write_csv
 
@@ -63,8 +63,16 @@ _POOL_FILE_RE = re.compile(r"^data_(\d+)_(\d+)\.csv$")
 
 
 def batch_filename(batch_index: int, t0: float) -> str:
-    """Strictly increasing names so lexicographic order is creation order."""
+    """A batch's pool file name: its index, then its start time in ms."""
     return f"data_{batch_index:05d}_{round(t0 * 1000):012d}.csv"
+
+
+def pool_order(path: Path) -> tuple:
+    """Sort key for creation order: collector batches by index (which can
+    outgrow the five digits a name pads it to) at the place of the name
+    "data_", any other file by name."""
+    m = _POOL_FILE_RE.match(path.name)
+    return ("data_", int(m.group(1)), path.name) if m else (path.name,)
 
 
 def batch_id_for(path: Path) -> str:
@@ -101,7 +109,7 @@ class Collector:
 
     def __init__(self, bus: MessageBus, config: CollectorConfig,
                  postprocessor: Postprocessor,
-                 subscription_capacity: int = 64):
+                 subscription_capacity: int = DEFAULT_CAPACITY):
         self.config = config
         self.postprocessor = postprocessor
         self._human_sub: Subscription = bus.subscribe(HUMAN_TOPIC, subscription_capacity)

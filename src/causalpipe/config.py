@@ -5,8 +5,8 @@ parameters, transfer-entropy filter settings, risk-proxy parameters, the
 social-force model, the robot path, run duration and seed. Configs load from
 JSON through from_json, which checks each value against its field's
 annotation. A field the document leaves out, in a section it names or not,
-keeps the default config's value, and a document that does not place
-`collector.pool_dir` pools under `<output_dir>/pool`.
+keeps the default config's value, except two that follow another field:
+`collector.pool_dir` is `<output_dir>/pool`, and `discovery.seed` is `seed`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .collector import CollectorConfig
-from .discovery import DiscoveryParams
+from .discovery import BatchTooShortError, DiscoveryParams, check_batch_rows
 from .postprocess import POSTPROCESSORS, RiskParams
 from .sim import SIM_DT, RobotPath, SFMParams
 from .stats import TEParams
+from .timeseries import TIME_COLUMN
 
 
 class ConfigError(ValueError):
@@ -52,11 +53,9 @@ class ScenarioConfig:
 
 
 def default_config(output_dir: str | Path = "out", seed: int = 0) -> ScenarioConfig:
-    output_dir = Path(output_dir)
-    cfg = ScenarioConfig(seed=seed, output_dir=output_dir)
-    cfg.collector = dataclasses.replace(cfg.collector, pool_dir=output_dir / "pool")
-    cfg.discovery = dataclasses.replace(cfg.discovery, seed=seed)
-    return cfg
+    """The config of a document that sets only `output_dir` and `seed`, which
+    the pool and discovery's seed then follow."""
+    return config_from_dict({"output_dir": str(output_dir), "seed": seed})
 
 
 def validate(config: ScenarioConfig) -> list[str]:
@@ -73,12 +72,18 @@ def validate(config: ScenarioConfig) -> list[str]:
             f"duration ({config.duration}s) must be >= collector.batch_seconds "
             f"({config.collector.batch_seconds}s)"
         )
-    if not (isinstance(config.collector.postprocessor, str)
-            and config.collector.postprocessor in POSTPROCESSORS):
-        problems.append(
-            f"unknown postprocessor {config.collector.postprocessor!r}; "
-            f"registered: {sorted(POSTPROCESSORS)}"
-        )
+    name = config.collector.postprocessor
+    if not (isinstance(name, str) and name in POSTPROCESSORS):
+        problems.append(f"unknown postprocessor {name!r}; registered: {sorted(POSTPROCESSORS)}")
+    # a batch past the float range has no row count, and is never short
+    elif math.isfinite(config.collector.batch_seconds / config.collector.dt):
+        rows = config.collector.samples_per_batch
+        try:
+            check_batch_rows(rows, sum(c != TIME_COLUMN for c in POSTPROCESSORS[name][0]),
+                             config.discovery)
+        except BatchTooShortError as exc:
+            problems.append(f"collector.batch_seconds / collector.dt makes batches of "
+                            f"{rows} rows, too short to analyse: {exc}")
     return problems
 
 
@@ -134,7 +139,6 @@ def _is_finite_number(value) -> bool:
 _LEAVES = {
     int: (is_integer, "an integer"),
     float: (_is_finite_number, "a finite number"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
     str: (lambda v: isinstance(v, str), "a string"),
     Path: (lambda v: isinstance(v, str), "a string"),
     type(None): (lambda v: v is None, "null"),
@@ -218,9 +222,10 @@ def config_from_dict(payload, what: str = "config") -> ScenarioConfig:
         raise ConfigError(problems)
     config = ScenarioConfig(**fields)
     if "pool_dir" not in payload.get("collector", {}):
-        # as in default_config: the pool lives in the run's output directory
         config.collector = dataclasses.replace(config.collector,
                                                pool_dir=config.output_dir / "pool")
+    if "seed" not in payload.get("discovery", {}):
+        config.discovery = dataclasses.replace(config.discovery, seed=config.seed)
     problems = validate(config)
     if problems:
         raise ConfigError(problems)

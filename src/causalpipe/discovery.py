@@ -65,7 +65,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bus import MessageBus
-from .collector import batch_id_for
+from .collector import batch_id_for, pool_order
 from .stats import (INDEPENDENT, TE_MIN_ROWS, CITestResult, KernelRegParams,
                     ResidualCache, TEParams, kridge_dcor_test, parcorr_test,
                     te_significance)
@@ -230,13 +230,18 @@ def lagged_candidates(n_vars: int, params: DiscoveryParams) -> list[LaggedVariab
 _PHASE_WINDOW = {"pc1": 1, "mci": 2}
 
 
-def _check_rows(n_rows: int, params: DiscoveryParams, phase: str) -> None:
-    """Raise BatchTooShortError unless a batch of n_rows leaves the phase
-    enough target rows after its lag window."""
+def check_batch_rows(n_rows: int, n_vars: int, params: DiscoveryParams,
+                     phase: str = "mci") -> None:
+    """The one batch-length rule: raise BatchTooShortError unless a batch of
+    n_rows rows of n_vars analysis variables leaves the phase (MCI, the
+    longer, by default) 10 * (max_conditions + 2) target rows after its lag
+    window, and, for fpcmci with a pair to filter, has TE_MIN_ROWS rows."""
     usable = max(n_rows - _PHASE_WINDOW[phase] * params.tau_max, 0)
     need = 10 * (params.max_conditions + 2)
     if usable < need:
         raise BatchTooShortError(f"{usable} usable rows after lag alignment; need >= {need}")
+    if params.method == "fpcmci" and n_vars > 1 and n_rows < TE_MIN_ROWS:
+        raise BatchTooShortError(f"{n_rows} rows; transfer entropy needs >= {TE_MIN_ROWS}")
 
 
 class CIContext:
@@ -254,7 +259,7 @@ class CIContext:
         if self.n_vars < 1:
             raise DiscoveryError("batch has no analysis variables")
         self.window_start = _PHASE_WINDOW[phase] * params.tau_max
-        _check_rows(self._X.shape[0], params, phase)
+        check_batch_rows(self._X.shape[0], self.n_vars, params, phase)
         self.params = params
         self.phase = phase
         self.batch_id = batch_id
@@ -431,10 +436,9 @@ def fpcmci(batch: TimeSeriesBatch, params: DiscoveryParams,
     """
     names, X = batch.analysis_view()
     n_vars = len(names)
-    # a batch that MCI or the TE estimator would reject fails before any TE pair
-    _check_rows(X.shape[0], params, "mci")
-    if n_vars > 1 and X.shape[0] < TE_MIN_ROWS:
-        raise BatchTooShortError(f"{X.shape[0]} rows; transfer entropy needs >= {TE_MIN_ROWS}")
+    # a batch that MCI or the TE estimator would reject fails before any TE
+    # pair; the filter runs whatever params.method says
+    check_batch_rows(X.shape[0], n_vars, dataclasses.replace(params, method="fpcmci"))
     pairs = [(i, j) for i in range(n_vars) for j in range(n_vars) if i != j]
     jobs = [(X[:, i], X[:, j], te_params, _derived_seed(params.seed, batch_id, "te", i, j))
             for i, j in pairs]
@@ -553,11 +557,11 @@ def export_model(model: CausalModel, format: str, path: str | Path) -> bytes:
 class PoolWatcher:
     """Sequential worker over a pool directory of CSV batches.
 
-    Each batch is the oldest file in the pool (lexicographic order equals
-    creation order for collector output): the watcher runs the configured
-    discovery on it, publishes the CausalModel on the bus, hands it to
-    `on_model`, then deletes the file. Files that cannot be read or analysed
-    are moved to a quarantine subdirectory, never silently deleted. A model
+    Each batch is the oldest file in the pool (by `collector.pool_order`):
+    the watcher runs the configured discovery on it, publishes the
+    CausalModel on the bus, hands it to `on_model`, then deletes the file.
+    Files that cannot be read or analysed are moved to a quarantine
+    subdirectory, never silently deleted. A model
     is published at its batch's end time, or at the model topic's last
     publish time if that is later (a batch an earlier run left in a reused
     pool, or a model of another watcher on the same bus): the topic keeps
@@ -594,7 +598,8 @@ class PoolWatcher:
         return self._analysis is not None
 
     def _pending(self) -> list[Path]:
-        return sorted(p for p in self.pool_dir.iterdir() if p.suffix == ".csv" and p.is_file())
+        return sorted((p for p in self.pool_dir.iterdir() if p.suffix == ".csv" and p.is_file()),
+                      key=pool_order)
 
     def _quarantine(self, path: Path) -> None:
         if not path.exists():

@@ -19,12 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bus import MessageBus
-from .state import AgentState, Pose2D, StateMerger, Velocity2D, normalize_angle
+from .state import BODY_RADIUS, AgentState, Pose2D, StateMerger, Velocity2D, normalize_angle
 
 SIM_DT = 0.05
-DEFAULT_MIN_GOAL_DIST = 3.0
+MIN_GOAL_DIST = 3.0  # a new goal's least distance from the pedestrian [m]
 HUMAN_START = (5.0, 2.0)  # the pedestrian's start [m]
-BODY_RADIUS = 0.3  # of both agents [m]
 
 
 class Bounds(NamedTuple):
@@ -90,7 +89,6 @@ class RobotPath:
         (2.0, 2.0), (8.0, 2.0), (8.0, 4.0), (2.0, 4.0), (2.0, 6.0), (8.0, 6.0),
         (8.0, 8.0), (2.0, 8.0), (2.0, 6.0), (8.0, 6.0), (8.0, 4.0), (2.0, 4.0))
     cruise_speed: float = 0.6
-    loop: bool = True
 
     def __post_init__(self) -> None:
         wps = tuple((float(x), float(y)) for x, y in self.waypoints)
@@ -155,21 +153,20 @@ def agent_repulsion_force(human: AgentState, robot: AgentState,
 
 
 def sample_goal(rng: np.random.Generator, bounds: Bounds,
-                current_pos: tuple[float, float],
-                min_dist: float = DEFAULT_MIN_GOAL_DIST) -> tuple[float, float]:
-    """Uniform point in bounds at least min_dist from the current position.
+                current_pos: tuple[float, float]) -> tuple[float, float]:
+    """Uniform point in bounds at least MIN_GOAL_DIST from the current position.
 
     Rejection sampling; after 1000 rejections the constraint is halved once,
     then sampling fails.
     """
-    for attempt_min_dist in (min_dist, min_dist / 2.0):
+    for attempt_min_dist in (MIN_GOAL_DIST, MIN_GOAL_DIST / 2.0):
         for _ in range(1000):
             x = float(rng.uniform(bounds.x_min, bounds.x_max))
             y = float(rng.uniform(bounds.y_min, bounds.y_max))
             if math.hypot(x - current_pos[0], y - current_pos[1]) >= attempt_min_dist:
                 return (x, y)
     raise GoalSamplingError(
-        f"no admissible goal >= {min_dist / 2.0} m from {current_pos} in {bounds}"
+        f"no admissible goal >= {MIN_GOAL_DIST / 2.0} m from {current_pos} in {bounds}"
     )
 
 
@@ -196,8 +193,8 @@ class Simulator:
         self.sfm = sfm
         self.path = path
         self.bounds = bounds
-        self._human_merger = StateMerger.for_human(bus=bus, body_radius=BODY_RADIUS)
-        self._robot_merger = StateMerger.for_robot(bus=bus, body_radius=BODY_RADIUS)
+        self._human_merger = StateMerger.for_human(bus=bus)
+        self._robot_merger = StateMerger.for_robot(bus=bus)
         self._waypoint_index = 1
         self._published_initial = False
         self._paused_until = -1.0
@@ -287,7 +284,7 @@ class Simulator:
             x, y = target
             self._waypoint_index += 1
             if self._waypoint_index >= len(self.path.waypoints):
-                self._waypoint_index = 0 if self.path.loop else len(self.path.waypoints) - 1
+                self._waypoint_index = 0
             target = self.path.waypoints[self._waypoint_index]
         else:
             x = r.pose.x + tx / remaining * step

@@ -15,6 +15,7 @@ from .bus import MessageBus
 
 ROBOT_TOPIC = "/roscausal/robot"
 HUMAN_TOPIC = "/roscausal/human"
+BODY_RADIUS = 0.3  # of both agents [m]; every merged state carries it
 
 
 class ValidationError(ValueError):
@@ -128,21 +129,19 @@ class StateMerger:
     merged state is also published on the merger's topic.
     """
 
-    def __init__(self, agent_id: str, topic: str, bus: MessageBus | None = None,
-                 body_radius: float = 0.3):
+    def __init__(self, agent_id: str, topic: str, bus: MessageBus | None = None):
         self.agent_id = agent_id
         self.topic = topic
         self._bus = bus
-        self._body_radius = body_radius
         self._last_stamp: float | None = None
 
     @classmethod
-    def for_robot(cls, bus: MessageBus | None = None, body_radius: float = 0.3) -> "StateMerger":
-        return cls("robot", ROBOT_TOPIC, bus=bus, body_radius=body_radius)
+    def for_robot(cls, bus: MessageBus | None = None) -> "StateMerger":
+        return cls("robot", ROBOT_TOPIC, bus=bus)
 
     @classmethod
-    def for_human(cls, bus: MessageBus | None = None, body_radius: float = 0.3) -> "StateMerger":
-        return cls("human", HUMAN_TOPIC, bus=bus, body_radius=body_radius)
+    def for_human(cls, bus: MessageBus | None = None) -> "StateMerger":
+        return cls("human", HUMAN_TOPIC, bus=bus)
 
     def merge(self, pose: Pose2D, velocity: Velocity2D, goal: tuple[float, float],
               stamp: float) -> AgentState:
@@ -152,7 +151,7 @@ class StateMerger:
                 f"{stamp} after {self._last_stamp}"
             )
         # positional: keyword arguments cost more than a field's checks
-        state = AgentState(self.agent_id, stamp, pose, velocity, goal, self._body_radius)
+        state = AgentState(self.agent_id, stamp, pose, velocity, goal, BODY_RADIUS)
         self._last_stamp = stamp
         if self._bus is not None:
             self._bus.publish(self.topic, state, stamp)

@@ -176,6 +176,21 @@ def test_run_config_file_with_flag_override(tmp_path):
     assert model["params"]["method"] == "pcmci"
 
 
+def test_run_config_seed_seeds_discovery_as_the_flag_does(tmp_path):
+    # a document's seed used to leave discovery.seed at 0, so the same
+    # seed gave other permutation p-values than `--seed`
+    fast = ["--duration", "24", "--batch-seconds", "24", "--citest", "kridge-dcor",
+            "--method", "pcmci", "--quiet"]
+    config_path = tmp_path / "seed7.json"
+    config_path.write_text(json.dumps({"seed": 7}))
+    assert cli.main(["run", "--seed", "7", "--out", str(tmp_path / "flag"), *fast]) == 0
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "doc"),
+                     *fast]) == 0
+    flag, doc = ((tmp_path / side / "model_00000.json").read_bytes() for side in ("flag", "doc"))
+    assert json.loads(doc)["params"]["seed"] == 7
+    assert doc == flag
+
+
 def test_run_pools_under_the_config_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("config.json").write_text(json.dumps({
@@ -429,6 +444,10 @@ def test_run_with_a_non_integer_field_exits_1_before_any_batch(tmp_path, capsys,
     # ticked once a 0.05 s simulator step, the collector would buffer copies
     (["--dt", "0.01", "--duration", "1", "--batch-seconds", "1", "--citest", "parcorr",
       "--method", "pcmci"], "collector.dt (0.01s) must be >= the simulator step (0.05s)"),
+    # every batch used to be quarantined, and the run exited 0 with no model
+    (["--batch-seconds", "10", "--duration", "20", "--citest", "parcorr", "--method", "pcmci"],
+     "makes batches of 33 rows, too short to analyse: 31 usable rows after lag alignment; "
+     "need >= 50"),
 ])
 def test_run_with_a_bad_flag_exits_1_before_anything_runs(tmp_path, capsys, flags, problem):
     out = tmp_path / "out"

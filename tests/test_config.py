@@ -135,7 +135,7 @@ def test_config_parsers_return_or_raise_config_error(payload):
     ({"seed": 1.5}, "seed must be an integer, got the number 1.5"),
     ({"output_dir": 5}, "output_dir must be a string"),
     ({"collector": {"postprocessor": "bogus"}}, "unknown postprocessor 'bogus'"),
-    ({"robot_path": {"loop": "no"}}, "robot_path: loop must be a boolean, got a string"),
+    ({"robot_path": {"loop": True}}, "robot_path: unknown field 'loop'"),
     ({"collector": {"dt": True}}, "collector: dt must be a finite number, got a boolean"),
     ({"discovery": {"kridge": {"ridge": True}}},
      "discovery: ridge must be a finite number, got a boolean"),
@@ -251,6 +251,20 @@ def test_pool_follows_output_dir_unless_placed(tmp_path, document, pool_dir):
     # --out places both, over whatever the document says
     config = load_run_config(tmp_path, document, "--out", "y")
     assert (config.output_dir, config.collector.pool_dir) == (Path("y"), Path("y/pool"))
+
+
+@pytest.mark.parametrize("document,seed", [
+    ({"seed": 7}, 7),
+    ({"seed": 7, "discovery": {"alpha": 0.1}}, 7),
+    ({"seed": 7, "discovery": {"seed": 3}}, 3),
+    ({}, 0),
+])
+def test_discovery_seed_follows_seed_unless_set(tmp_path, document, seed):
+    assert config_from_dict(document).discovery.seed == seed
+    assert load_run_config(tmp_path, document).discovery.seed == seed
+    # --seed sets both, over whatever the document says
+    config = load_run_config(tmp_path, document, "--seed", "9")
+    assert (config.seed, config.discovery.seed) == (9, 9)
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path):

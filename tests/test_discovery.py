@@ -146,6 +146,17 @@ def test_fpcmci_short_batch_fails_before_any_te_pair(monkeypatch, n_rows, max_co
         fpcmci(batch, params)
 
 
+def test_one_rule_holds_both_batch_length_limits():
+    # 40 rows leave MCI 38 target rows, enough for max_conditions 0 (20), but
+    # F-PCMCI's transfer entropy needs 50 rows
+    params = dataclasses.replace(PARCORR, max_conditions=0)
+    discovery.check_batch_rows(40, 2, params)
+    with pytest.raises(BatchTooShortError, match="^40 rows; transfer entropy needs >= 50"):
+        discovery.check_batch_rows(40, 2, dataclasses.replace(params, method="fpcmci"))
+    # one variable has no pair to filter
+    discovery.check_batch_rows(40, 1, dataclasses.replace(params, method="fpcmci"))
+
+
 # --- mci ----------------------------------------------------------------------
 
 def test_mci_tensor_shapes():
@@ -816,6 +827,16 @@ def test_watcher_takes_only_csv_files_in_name_order(tmp_path):
     assert [m.batch_id for m in watcher.drain()] == ["0", "1", "2"]
     assert (watcher.published, watcher.quarantined) == (3, 0)
     assert sorted(pool.rglob("*")) == left
+
+
+def test_watcher_takes_batches_in_index_order_past_five_digits(tmp_path):
+    # batch 100,000's name sorts before batch 99,999's
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    for idx in (100_000, 99_999):
+        write_pool_file(pool, idx, seed=idx % 7)
+    watcher = PoolWatcher(pool, PARCORR)
+    assert [m.batch_id for m in watcher.drain()] == ["99999", "100000"]
 
 
 def test_watcher_idles_on_empty_pool(tmp_path):

@@ -98,3 +98,33 @@ def test_the_cli_run_matches_the_benchmark_reference(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.glob("model_*.json"))}
     assert digests == reference
+
+
+# The benchmark's own calls into the package: the pipeline objects its set-up
+# builds for each workload, and its traced replay of one stream, which drives
+# Simulator, Collector, read_csv, discover and export_model one at a time.
+BENCHMARK_CALLS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from tracer import Tracer
+
+with tempfile.TemporaryDirectory() as tmp:
+    for name in workloads.WORKLOADS:
+        workloads.build_objects(name, Path(tmp) / name)
+    replay = workloads.Replay(Tracer())
+    out = Path(tmp) / "replay"
+    out.mkdir()
+    workloads.replay_hri_stream(workloads.WORKLOADS["hri_parcorr"], 0, out, replay)
+    print(json.dumps({op.model_file: op.digest for op in replay.ops}))
+"""
+
+
+@needs_reference
+def test_the_benchmark_still_drives_the_package():
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hri_parcorr"]["0"]
+    proc = run_one_blas_thread("-c", BENCHMARK_CALLS, str(ROOT / "perfbench"))
+    digests = json.loads(proc.stdout.splitlines()[-1])
+    assert len(digests) == 12
+    assert digests == reference

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from causalpipe.bus import MessageBus
 from causalpipe.config import default_config
 from causalpipe.postprocess import human_speed
-from causalpipe.sim import (DEFAULT_BOUNDS, DEFAULT_MIN_GOAL_DIST, Bounds, GoalSamplingError,
+from causalpipe.sim import (DEFAULT_BOUNDS, MIN_GOAL_DIST, Bounds, GoalSamplingError,
                             RobotPath, SFMParams, SIM_DT, Simulator, _clamp_to_bounds,
                             agent_repulsion_force, goal_attraction_force, sample_goal)
 from causalpipe.state import (AgentState, HUMAN_TOPIC, Pose2D, ROBOT_TOPIC, Velocity2D,
@@ -136,7 +136,7 @@ def human_step_reference(sim, rng, dt):
     omega = normalize_angle(theta - h.pose.theta) / dt
     goal = h.goal
     if math.hypot(goal[0] - x, goal[1] - y) <= sfm.goal_radius:
-        goal = sample_goal(rng, w.bounds, (x, y), DEFAULT_MIN_GOAL_DIST)
+        goal = sample_goal(rng, w.bounds, (x, y))
     return Pose2D(x, y, theta), Velocity2D(vx, vy, omega), goal, paused_until
 
 
@@ -335,7 +335,7 @@ def test_agents_stay_in_bounds():
 
 
 def test_robot_follows_waypoints_and_loops():
-    path = RobotPath(waypoints=((2.0, 2.0), (8.0, 2.0)), cruise_speed=1.0, loop=True)
+    path = RobotPath(waypoints=((2.0, 2.0), (8.0, 2.0)), cruise_speed=1.0)
     sim = Simulator(path=path, seed=0, sfm=QUIET)
     xs = []
     for _ in range(round(14.0 / SIM_DT)):
@@ -369,9 +369,9 @@ def test_sample_goal_deterministic():
 def test_sample_goal_constraints_hold():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
-        x, y = sample_goal(rng, DEFAULT_BOUNDS, (0.0, 0.0), min_dist=3.0)
+        x, y = sample_goal(rng, DEFAULT_BOUNDS, (0.0, 0.0))
         assert 0.0 <= x <= 10.0 and 0.0 <= y <= 10.0
-        assert math.hypot(x, y) >= 3.0
+        assert math.hypot(x, y) >= MIN_GOAL_DIST
 
 
 def test_sample_goal_uniform_when_unconstrained():
@@ -387,14 +387,17 @@ def test_sample_goal_uniform_when_unconstrained():
 
 def test_sample_goal_relaxes_then_fails():
     rng = np.random.default_rng(0)
-    tiny = Bounds(0.0, 0.0, 1.0, 1.0)
-    # min_dist 1.6 impossible in a 1x1 box from the center, 0.8 after halving
-    # is still impossible from the center (max corner distance ~0.707)
+    # From the centre of a square of side MIN_GOAL_DIST / 1.6 no point is as
+    # far as MIN_GOAL_DIST, nor as half of it after halving (the farthest
+    # corner is 0.707 / 1.6 of it away)
+    side = MIN_GOAL_DIST / 1.6
     with pytest.raises(GoalSamplingError):
-        sample_goal(rng, tiny, (0.5, 0.5), min_dist=1.6)
-    # but relaxation rescues a borderline constraint: 1.2 halves to 0.6 < 0.707
-    g = sample_goal(rng, tiny, (0.5, 0.5), min_dist=1.2)
-    assert math.hypot(g[0] - 0.5, g[1] - 0.5) >= 0.6
+        sample_goal(rng, Bounds(0.0, 0.0, side, side), (side / 2, side / 2))
+    # but relaxation rescues a borderline square: at side MIN_GOAL_DIST / 1.2
+    # the farthest corner is 0.707 / 1.2 of it away, past the halved 0.5
+    side = MIN_GOAL_DIST / 1.2
+    g = sample_goal(rng, Bounds(0.0, 0.0, side, side), (side / 2, side / 2))
+    assert math.hypot(g[0] - side / 2, g[1] - side / 2) >= MIN_GOAL_DIST / 2
 
 
 # --- parameter validation ---------------------------------------------------------
